@@ -1,7 +1,7 @@
 """Correlation-aware service discovery simulator."""
 
 from .mining import (brute_force_frequent_itemsets, build_fp_tree,
-                     mine_frequent_itemsets, related_services)
+                     mine_frequent_itemsets)
 from .netsim import Metrics, SimConfig, Simulation, run
 from .sessionlog import LogDatabase, SessionRecord
 from .workload import build_correlation_matrix, build_schedule, candidate_set, generate_session
@@ -21,6 +21,5 @@ __all__ = [
     "candidate_set",
     "generate_session",
     "mine_frequent_itemsets",
-    "related_services",
     "run",
 ]

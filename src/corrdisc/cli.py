@@ -4,7 +4,8 @@
     corrdisc mine transactions.txt 0.8 [--oracle]
     corrdisc gen-cm 10 42
 
-``CORRDISC_LOG`` (debug/info/warning/error) sets diagnostic verbosity.
+``CORRDISC_LOG`` (debug/info/warning/error, any case) sets diagnostic
+verbosity; any other value is an error (exit 2).
 Simulation defaults are overridable in the config file only; the flags
 above are the only command-line overrides.
 """
@@ -25,10 +26,16 @@ from .mining import (brute_force_frequent_itemsets, mine_frequent_itemsets,
 from .workload import build_correlation_matrix, cm_to_text
 
 
-def _setup_logging() -> None:
-    level = os.environ.get("CORRDISC_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+def _setup_logging() -> bool:
+    """Configure logging from ``CORRDISC_LOG``; False if it names no level."""
+    level = os.environ.get("CORRDISC_LOG", "warning")
+    if level.lower() not in ("debug", "info", "warning", "error"):
+        print(f"error: CORRDISC_LOG must be debug|info|warning|error, got {level!r}",
+              file=sys.stderr)
+        return False
+    logging.basicConfig(level=level.upper(),
                         format="%(levelname)s %(name)s: %(message)s")
+    return True
 
 
 def _cmd_run(args) -> int:
@@ -123,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
+    if not _setup_logging():
+        return 2
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -127,7 +127,10 @@ def parse_config(text: str) -> ExperimentSpec:
         if required not in overrides:
             raise ConfigError(f"missing required key {required!r}")
     base = SimConfig(**overrides)
-    base.validate()
+    try:
+        base.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     spec = ExperimentSpec(base=base, seeds=seeds if seeds is not None else (base.seed,),
                           variants=variants, output=output)
     spec.validate()

@@ -171,17 +171,6 @@ def brute_force_frequent_itemsets(transactions: Sequence[Transaction],
     return out
 
 
-def related_services(service: ServiceId,
-                     itemsets: Iterable[frozenset[ServiceId]]) -> set[ServiceId]:
-    """Union of all itemsets containing ``service``, minus the service itself."""
-    related: set[ServiceId] = set()
-    for items in itemsets:
-        if service in items:
-            related |= items
-    related.discard(service)
-    return related
-
-
 def rank_related(service: ServiceId,
                  itemsets: Mapping[frozenset[ServiceId], int]) -> list[ServiceId]:
     """Related services ordered by strongest supporting itemset.

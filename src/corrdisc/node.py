@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .mining import MIN_MINING_TRANSACTIONS, rank_related
-from .packets import PacketError, Sreq, Srep, decode_packet
+from .packets import Sreq, Srep
 from .sessionlog import LogDatabase
 
 if TYPE_CHECKING:
@@ -99,6 +99,9 @@ class Node:
     def _store(self, record: ServiceRecord) -> None:
         if record.service in self.own_services:
             return
+        current = self.table.get(record.service)
+        if record.piggybacked and current is not None and not current.piggybacked:
+            return  # a prediction never downgrades a directly learned record
         evicted = self.table.insert(record)
         if evicted is not None and evicted.piggybacked and not evicted.used:
             self.metrics.piggybacked_records_evicted_unused += 1
@@ -131,19 +134,6 @@ class Node:
         self._pending[sreq.msg_id] = (service, now)
         m.broadcasts_originated += 1
         return ((None, sreq),)
-
-    def on_wire(self, data: bytes, from_node: int, now: float) -> tuple[Emission, ...]:
-        try:
-            packet = decode_packet(data)
-        except PacketError:
-            self.metrics.decode_failures += 1
-            return ()
-        return self.on_packet(packet, from_node, now)
-
-    def on_packet(self, packet: Sreq | Srep, from_node: int, now: float) -> tuple[Emission, ...]:
-        if isinstance(packet, Sreq):
-            return self.handle_sreq(packet, from_node, now)
-        return self.handle_srep(packet, from_node, now)
 
     def handle_sreq(self, sreq: Sreq, from_node: int, now: float) -> tuple[Emission, ...]:
         msg_id = sreq.msg_id

@@ -12,8 +12,8 @@ SREP (13 + 4k bytes)
     record count k (1, 1 <= k <= 33) | k x (service (2), provider (2))
 
 Record 0 of an SREP is the direct answer; the rest are piggybacked
-related-service records (at most 32).  ``decode_packet`` is strict: the
-buffer must contain exactly one packet.
+related-service records (at most 32) for distinct services other than the
+answer's.  ``decode_packet`` accepts exactly what ``encode_packet`` emits.
 """
 
 from __future__ import annotations
@@ -61,6 +61,12 @@ class Srep:
     related: tuple[tuple[int, int], ...] = ()    # piggybacked records
 
 
+def _check_related(answer: tuple[int, int], related) -> None:
+    services = [svc for svc, _ in related]
+    if len(set(services)) != len(services) or answer[0] in services:
+        raise PacketError("related records must be unique and exclude the answer")
+
+
 def encode_packet(packet: Sreq | Srep) -> bytes:
     if isinstance(packet, Sreq):
         try:
@@ -72,9 +78,7 @@ def encode_packet(packet: Sreq | Srep) -> bytes:
         if len(packet.related) > MAX_RELATED_RECORDS:
             raise PacketError(
                 f"at most {MAX_RELATED_RECORDS} related records, got {len(packet.related)}")
-        services = [svc for svc, _ in packet.related]
-        if len(set(services)) != len(services) or packet.answer[0] in services:
-            raise PacketError("related records must be unique and exclude the answer")
+        _check_related(packet.answer, packet.related)
         reply_origin, reply_seq = packet.in_reply_to
         try:
             head = _SREP_HEADER.pack(SREP_TYPE, packet.responder, packet.destination,
@@ -110,6 +114,7 @@ def decode_packet(data: bytes) -> Sreq | Srep:
                               f"got {len(data)}")
         records = [_RECORD.unpack_from(data, SREP_HEADER_SIZE + i * RECORD_SIZE)
                    for i in range(count)]
+        _check_related(records[0], records[1:])
         return Srep(responder, destination, (reply_origin, reply_seq), ttl,
                     records[0], tuple(records[1:]))
     raise PacketError(f"unknown packet type byte 0x{kind:02x}")

@@ -40,8 +40,9 @@ class LogDatabase:
             raise ValueError(f"log capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._records: deque[SessionRecord] = deque()
-        self._open: dict[SessionKey, SessionRecord] = {}
-        self._open_by_consumer: dict[int, SessionRecord] = {}
+        # A consumer has at most one open session: opening a new one
+        # closes the previous.
+        self._open: dict[int, SessionRecord] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -52,32 +53,26 @@ class LogDatabase:
 
     def _close(self, record: SessionRecord) -> None:
         record.closed = True
-        self._open.pop(record.key, None)
-        if self._open_by_consumer.get(record.consumer) is record:
-            del self._open_by_consumer[record.consumer]
+        del self._open[record.consumer]
 
     def record_request(self, key: SessionKey, service: int, now: float) -> None:
         """Add one request to the open session under ``key``, creating the
         record (and evicting the oldest if full) when none is open."""
-        record = self._open.get(key)
-        if record is not None:
-            record.services.add(service)
-            return
         consumer, session_seq = key
-        previous = self._open_by_consumer.get(consumer)
-        if previous is not None:
+        record = self._open.get(consumer)
+        if record is not None:
+            if record.session_seq == session_seq:
+                record.services.add(service)
+                return
             # The consumer moved on to a new session; the old one is over.
-            self._close(previous)
+            self._close(record)
         if len(self._records) == self.capacity:
             oldest = self._records.popleft()
             if not oldest.closed:
-                self._open.pop(oldest.key, None)
-                if self._open_by_consumer.get(oldest.consumer) is oldest:
-                    del self._open_by_consumer[oldest.consumer]
+                del self._open[oldest.consumer]
         record = SessionRecord(consumer, session_seq, now, {service})
         self._records.append(record)
-        self._open[key] = record
-        self._open_by_consumer[consumer] = record
+        self._open[consumer] = record
 
     def close_stale_sessions(self, now: float, session_window: float) -> None:
         """Close every open record that has been open for at least

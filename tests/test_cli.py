@@ -1,5 +1,6 @@
 import os
 
+import pytest
 from numpy.random import SeedSequence, default_rng
 
 from corrdisc.cli import main
@@ -43,6 +44,15 @@ def test_run_subcommand_config_error_exit_2(tmp_path, capsys):
     config.write_text("node_count = 8\n")
     assert main(["run", str(config)]) == 2
     assert "service_count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["sim_duration = inf", "mining_interval = nan",
+                                  "field_size = infx500"])
+def test_run_subcommand_non_finite_config_exit_2(tmp_path, capsys, line):
+    config = tmp_path / "bad.txt"
+    config.write_text(CONFIG + line + "\n")
+    assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_run_subcommand_missing_file_exit_1(tmp_path, capsys):
@@ -92,3 +102,17 @@ def test_gen_cm_matches_experiment_substream(capsys):
 
 def test_gen_cm_rejects_zero_services(capsys):
     assert main(["gen-cm", "0", "42"]) == 2
+
+
+def test_log_level_any_case_accepted(monkeypatch, capsys):
+    monkeypatch.setenv("CORRDISC_LOG", "DeBuG")
+    assert main(["gen-cm", "3", "1"]) == 0
+
+
+@pytest.mark.parametrize("word", ["basic_format", "verbose", ""])
+def test_log_level_unknown_exit_2(monkeypatch, capsys, word):
+    monkeypatch.setenv("CORRDISC_LOG", word)
+    assert main(["gen-cm", "3", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "CORRDISC_LOG" in captured.err
+    assert captured.out == ""

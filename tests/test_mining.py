@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from corrdisc.mining import (MAX_ORACLE_UNIVERSE, brute_force_frequent_itemsets,
                              build_fp_tree, min_count, mine_frequent_itemsets,
-                             parse_transactions_text, rank_related,
-                             related_services)
+                             parse_transactions_text, rank_related)
 
 
 def fs(*items):
@@ -108,18 +107,6 @@ def test_brute_force_universe_guard():
 
 # -- related services ----------------------------------------------------------
 
-def test_related_services_union():
-    assert related_services(2, {fs(1, 2), fs(2, 3)}) == {1, 3}
-
-
-def test_related_services_absent():
-    assert related_services(4, {fs(1, 2)}) == set()
-
-
-def test_related_services_singleton():
-    assert related_services(1, {fs(1)}) == set()
-
-
 def test_rank_related_order():
     itemsets = {fs(1, 2): 3, fs(1, 3): 5, fs(1, 4): 5}
     # 3 and 4 tie on support 5 -> ascending id; 2 trails on support 3.
@@ -179,18 +166,6 @@ def test_tree_invariants(txns, threshold):
         if node.item is not None:
             assert node.count >= child_sum
     walk(tree.root)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=5),
-       st.sets(st.frozensets(st.integers(0, 5), min_size=1, max_size=4), max_size=6),
-       st.frozensets(st.integers(0, 5), min_size=1, max_size=4))
-def test_related_services_properties(s, itemsets, extra):
-    base = related_services(s, itemsets)
-    assert s not in base
-    # Monotone: adding an itemset never removes results.
-    grown = related_services(s, itemsets | {extra})
-    assert base <= grown
 
 
 def test_mining_is_deterministic_over_item_order():

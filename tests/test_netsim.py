@@ -1,13 +1,13 @@
 import math
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from numpy.random import default_rng
 
-from corrdisc.netsim import (Metrics, SimConfig, Simulation, assign_services,
-                             place_nodes, run)
+from corrdisc.netsim import (DELIVER, Metrics, SimConfig, Simulation,
+                             assign_services, place_nodes, run)
 from corrdisc.packets import Sreq
 
 SMALL = SimConfig(node_count=8, service_count=5, sessions_per_consumer=2,
@@ -140,8 +140,9 @@ def test_unicast_to_non_neighbor_dropped():
     i, j = isolated_pair
     sim.deliver_unicast(i, j, Sreq(0, 0, 0, 1, 1), now=0.0)
     assert sim.metrics.packets_dropped == 1
-    assert not sim._heap or all(e[2] != "deliver" for e in sim._heap
-                                if e[3][:2] == (j, i))
+    # A delivery event's payload is (recipients, from_node, packet).
+    assert not any(e[2] == DELIVER and j in e[3][0] and e[3][1] == i
+                   for e in sim._heap)
 
 
 def test_injected_correlation_matrix_is_used():
@@ -180,6 +181,38 @@ def test_golden_trace_regression():
     assert metrics.requests_issued == 9
     assert metrics.sreq_transmissions == 15
     assert metrics.srep_transmissions == 13
+
+
+def test_one_delivery_event_per_transmission():
+    sim = Simulation(SMALL)
+    sender = next(i for i, ns in sim.topology.adjacency.items() if ns)
+    neighbor = sim.topology.adjacency[sender][0]
+    before = len(sim._heap)
+    sreq = Sreq(sender, 0, 0, 1, 1)
+    sim.deliver_broadcast(sender, sreq, now=0.0)
+    sim.deliver_unicast(sender, neighbor, sreq, now=0.0)
+    assert len(sim._heap) == before + 2
+    assert [e[3] for e in sorted(sim._heap) if e[2] == DELIVER] == [
+        (sim.topology.adjacency[sender], sender, sreq), ((neighbor,), sender, sreq)]
+
+
+FLOAT_FIELDS = ("field_size", "radio_range", "eta", "support", "session_window",
+                "mining_interval", "sim_duration", "hop_latency", "inter_request_gap",
+                "inter_session_gap", "consumer_fraction", "pending_timeout",
+                "scan_interval")
+
+
+def test_float_fields_list_is_complete():
+    assert set(FLOAT_FIELDS) == {f.name for f in fields(SimConfig)
+                                 if "float" in f.type}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_non_finite_floats(name, value):
+    bad = (value, 500.0) if name == "field_size" else value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(SMALL, **{name: bad}).validate()
 
 
 def test_config_validation():

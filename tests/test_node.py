@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from corrdisc.netsim import Metrics, SimConfig
 from corrdisc.node import Node, ServiceRecord, ServiceTable
-from corrdisc.packets import Sreq, Srep, encode_packet
+from corrdisc.packets import Sreq, Srep
 
 
 def make_node(nid=0, **overrides) -> Node:
@@ -238,14 +238,18 @@ def test_handle_srep_piggyback_eviction_accounting():
     assert node.metrics.piggybacked_records_evicted_unused == 1
 
 
-def test_on_wire_malformed_counted():
-    node = make_node()
-    assert node.on_wire(b"\xff\x00", from_node=1, now=0.0) == ()
-    assert node.metrics.decode_failures == 1
-    # A well-formed buffer goes through the normal handler.
-    data = encode_packet(Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=2))
-    out = node.on_wire(data, from_node=1, now=0.0)
-    assert len(out) == 1
+def test_piggybacked_copy_never_downgrades_direct_record():
+    node = make_node(nid=1)
+    node.handle_srep(Srep(2, 1, (1, 0), 8, answer=(7, 2)), from_node=2, now=1.0)
+    # Another reply piggybacks the same service as a prediction.
+    node.handle_srep(Srep(2, 1, (1, 1), 8, answer=(3, 5), related=((7, 2),)),
+                     from_node=2, now=2.0)
+    record = node.table.get(7)
+    assert not record.piggybacked
+    assert [r.service for r in node.table.records()] == [7, 3]
+    node.issue_request(7, 0, now=3.0)
+    assert node.metrics.locally_satisfied == 1
+    assert node.metrics.prediction_hits == 0
 
 
 def test_pending_expiry():

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrdisc.packets import (MAX_RELATED_RECORDS, RECORD_SIZE, SREP_HEADER_SIZE,
-                              SREQ_SIZE, PacketError, Sreq, Srep, decode_packet,
-                              encode_packet)
+                              SREP_TYPE, SREQ_SIZE, PacketError, Sreq, Srep,
+                              decode_packet, encode_packet)
 
 # Golden byte vectors, derived by hand from the layout (big-endian).
 GOLDEN_SREQ = Sreq(origin=1, seq=0, session_seq=0, requested=5, ttl=4)
@@ -82,6 +82,18 @@ def test_encode_rejects_duplicate_or_echoed_related():
         encode_packet(Srep(1, 2, (2, 0), 1, answer=(5, 1), related=((5, 2),)))
 
 
+def test_decode_rejects_duplicate_or_echoed_related():
+    # Hand-built buffers that encode_packet refuses to produce.
+    echoed = bytes.fromhex("02" "0001" "0002" "0002" "00000000" "01" "02"
+                           "0005" "0009" "0005" "0004")
+    with pytest.raises(PacketError, match="unique"):
+        decode_packet(echoed)
+    repeated = bytes.fromhex("02" "0001" "0002" "0002" "00000000" "01" "03"
+                             "0005" "0001" "0006" "0001" "0006" "0002")
+    with pytest.raises(PacketError, match="unique"):
+        decode_packet(repeated)
+
+
 def test_encode_rejects_oversize_related():
     related = tuple((i, 0) for i in range(MAX_RELATED_RECORDS + 1))
     with pytest.raises(PacketError):
@@ -120,3 +132,31 @@ def test_srep_round_trip(packet):
     data = encode_packet(packet)
     assert len(data) == SREP_HEADER_SIZE + (1 + len(packet.related)) * RECORD_SIZE
     assert decode_packet(data) == packet
+
+
+@st.composite
+def mutated_encoding(draw):
+    """A valid encoding with bytes overwritten, a record's service copied
+    over another's, and the end cut off or extended."""
+    data = bytearray(encode_packet(draw(st.one_of(sreq_st, srep_st()))))
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(u8)
+    records = (len(data) - SREP_HEADER_SIZE) // RECORD_SIZE
+    if data[0] == SREP_TYPE and records > 1 and draw(st.booleans()):
+        src, dst = (SREP_HEADER_SIZE + RECORD_SIZE * draw(st.integers(0, records - 1))
+                    for _ in range(2))
+        data[dst:dst + 2] = data[src:src + 2]
+    data = data[:draw(st.integers(0, len(data)))] + draw(st.binary(max_size=8))
+    return bytes(data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=160), mutated_encoding()))
+def test_decode_rejects_or_round_trips(data):
+    # Any byte string either fails with PacketError or is exactly the
+    # encoding of the packet it decodes to.
+    try:
+        packet = decode_packet(data)
+    except PacketError:
+        return
+    assert encode_packet(packet) == data
