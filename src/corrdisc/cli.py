@@ -39,6 +39,9 @@ def _setup_logging() -> bool:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     try:
         with open(args.config) as fh:
             spec = parse_config(fh.read())

@@ -157,6 +157,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
                    trace_dir: str | None = None) -> list[RunRow]:
     """One RunRow per (seed, variant), emitted in sorted (seed, variant)
     order regardless of execution order or parallelism."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     spec.validate()
     if trace_dir:
         os.makedirs(trace_dir, exist_ok=True)

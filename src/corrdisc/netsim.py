@@ -94,6 +94,7 @@ class Metrics:
     sreq_transmissions: int = 0
     srep_transmissions: int = 0
     requests_failed: int = 0
+    requests_answered: int = 0
     broadcasts_originated: int = 0
     packets_dropped: int = 0
 
@@ -192,26 +193,33 @@ class Simulation:
     # -- delivery ------------------------------------------------------------
 
     def deliver_broadcast(self, from_node: int, packet: Sreq | Srep, now: float) -> None:
-        self._transmit(from_node, self.topology.adjacency[from_node], packet, now,
-                       "tx_bcast", "")
-
-    def deliver_unicast(self, from_node: int, to: int, packet: Sreq | Srep,
-                        now: float) -> None:
-        if to not in self.topology.adjacency[from_node]:
-            self.metrics.packets_dropped += 1
-            return
-        self._transmit(from_node, (to,), packet, now, "tx_ucast", f"to={to} ")
-
-    def _transmit(self, from_node: int, recipients: tuple[int, ...], packet: Sreq | Srep,
-                  now: float, kind: str, prefix: str) -> None:
-        """Count and trace one transmission; one event delivers it to all."""
+        """Count and trace one broadcast; one event delivers it to every
+        neighbour, in adjacency order."""
         if isinstance(packet, Sreq):
             self.metrics.sreq_transmissions += 1
         else:
             self.metrics.srep_transmissions += 1
         if self.trace is not None:
-            self._trace(now, kind, from_node, prefix + _packet_detail(packet))
-        self._push(now + self.cfg.hop_latency, DELIVER, (recipients, from_node, packet))
+            self._trace(now, "tx_bcast", from_node, _packet_detail(packet))
+        heapq.heappush(self._heap, (now + self.cfg.hop_latency, self._next_event, DELIVER,
+                                    (self.topology.adjacency[from_node], from_node, packet)))
+        self._next_event += 1
+
+    def deliver_unicast(self, from_node: int, to: int, packet: Sreq | Srep,
+                        now: float) -> None:
+        """Count and trace one unicast to a neighbour; drop it otherwise."""
+        if to not in self.topology.adjacency[from_node]:
+            self.metrics.packets_dropped += 1
+            return
+        if isinstance(packet, Sreq):
+            self.metrics.sreq_transmissions += 1
+        else:
+            self.metrics.srep_transmissions += 1
+        if self.trace is not None:
+            self._trace(now, "tx_ucast", from_node, f"to={to} " + _packet_detail(packet))
+        heapq.heappush(self._heap, (now + self.cfg.hop_latency, self._next_event, DELIVER,
+                                    ((to,), from_node, packet)))
+        self._next_event += 1
 
     def _dispatch_emissions(self, from_node: int, emissions, now: float) -> None:
         for to, packet in emissions:
@@ -226,19 +234,29 @@ class Simulation:
         cfg = self.cfg
         heap = self._heap
         duration = cfg.sim_duration
+        nodes = self.nodes
         tracing = self.trace is not None
         while heap and heap[0][0] < duration:
             time, _, kind, payload = heapq.heappop(heap)
             if kind == DELIVER:
                 # Recipients in adjacency order; the handler is looked up on
                 # the class so that wrappers installed there see every call.
+                # A recipient that has already seen an SREQ would drop it at
+                # once, so it is skipped here (its deliver line still shows).
                 recipients, from_node, packet = payload
-                handler = Node.handle_sreq if isinstance(packet, Sreq) else Node.handle_srep
+                if tracing:
+                    detail = f"from={from_node} " + _packet_detail(packet)
+                if isinstance(packet, Sreq):
+                    handler, msg_id = Node.handle_sreq, packet.msg_id
+                else:
+                    handler, msg_id = Node.handle_srep, None  # never a key of _seen
                 for to in recipients:
                     if tracing:
-                        self._trace(time, DELIVER, to,
-                                    f"from={from_node} " + _packet_detail(packet))
-                    emissions = handler(self.nodes[to], packet, from_node, time)
+                        self._trace(time, DELIVER, to, detail)
+                    node = nodes[to]
+                    if msg_id in node._seen:
+                        continue
+                    emissions = handler(node, packet, from_node, time)
                     if emissions:
                         self._dispatch_emissions(to, emissions, time)
             elif kind == ISSUE:
@@ -254,11 +272,10 @@ class Simulation:
                 (nid,) = payload
                 node = self.nodes[nid]
                 node.log.close_stale_sessions(time, cfg.session_window)
-                node.remine(self._miner)
+                txns = node.remine(self._miner)
                 if tracing:
                     self._trace(time, MINING_TICK, nid,
-                                f"txns={len(node.log.snapshot_transactions())} "
-                                f"itemsets={len(node.itemsets)}")
+                                f"txns={txns} itemsets={len(node.itemsets)}")
                 self._push(time + cfg.mining_interval, MINING_TICK, (nid,))
             elif kind == SCAN:
                 expired = 0
@@ -271,7 +288,10 @@ class Simulation:
         # Whatever is still pending when the clock stops counts as failed.
         for node in self.nodes:
             node.fail_all_pending()
-        return self.metrics
+        m = self.metrics
+        assert m.requests_issued == (m.locally_satisfied + m.requests_answered
+                                     + m.requests_failed), m
+        return m
 
 
 def run(config: SimConfig, *, cm: CorrelationMatrix | None = None,

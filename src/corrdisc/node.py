@@ -10,7 +10,7 @@ simulation layer does the actual delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .mining import MIN_MINING_TRANSACTIONS, rank_related
@@ -155,7 +155,8 @@ class Node:
                         related=tuple(related))
             return ((from_node, srep),)
         if sreq.ttl > 0:
-            return ((None, replace(sreq, ttl=sreq.ttl - 1)),)
+            return ((None, Sreq(sreq.origin, sreq.seq, sreq.session_seq, sreq.requested,
+                                sreq.ttl - 1)),)
         return ()
 
     def handle_srep(self, srep: Srep, from_node: int, now: float) -> tuple[Emission, ...]:
@@ -164,13 +165,17 @@ class Node:
         for rel_service, rel_provider in srep.related:
             self._store(ServiceRecord(rel_service, rel_provider, now, piggybacked=True))
         if srep.destination == self.nid:
-            self._pending.pop(srep.in_reply_to, None)
+            # Only the first reply answers the request; later ones find
+            # nothing pending.
+            if self._pending.pop(srep.in_reply_to, None) is not None:
+                self.metrics.requests_answered += 1
             return ()
         upstream = self._seen.get(srep.in_reply_to)
         if upstream is None or srep.ttl <= 0:
             self.metrics.packets_dropped += 1
             return ()
-        return ((upstream, replace(srep, ttl=srep.ttl - 1)),)
+        return ((upstream, Srep(srep.responder, srep.destination, srep.in_reply_to,
+                                srep.ttl - 1, srep.answer, srep.related)),)
 
     def _pick_related(self, service: int) -> list[tuple[int, int]]:
         """Related services the node can actually vouch for: mined as
@@ -188,16 +193,20 @@ class Node:
 
     # -- periodic duties ----------------------------------------------------
 
-    def remine(self, miner) -> None:
-        """Refresh the itemset snapshot from the closed sessions in the log."""
+    def remine(self, miner) -> int:
+        """Refresh the itemset snapshot from the closed sessions in the log;
+        returns the number of transactions in the snapshot."""
         transactions = self.log.snapshot_transactions()
         if len(transactions) >= MIN_MINING_TRANSACTIONS:
             self.itemsets = miner(transactions)
         else:
             self.itemsets = {}
+        return len(transactions)
 
     def expire_pending(self, now: float) -> int:
         """Fail every pending request older than the timeout; returns count."""
+        if not self._pending:
+            return 0
         timeout = self.cfg.pending_timeout
         expired = [mid for mid, (_, issued) in self._pending.items()
                    if now - issued >= timeout]

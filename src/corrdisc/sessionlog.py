@@ -79,6 +79,8 @@ class LogDatabase:
         ``session_window`` (boundary inclusive)."""
         if session_window <= 0:
             raise ValueError("session_window must be positive")
+        if not self._open:
+            return
         for record in list(self._open.values()):
             if now - record.opened_at >= session_window:
                 self._close(record)

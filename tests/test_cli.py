@@ -55,6 +55,18 @@ def test_run_subcommand_non_finite_config_exit_2(tmp_path, capsys, line):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_subcommand_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    config = tmp_path / "exp.txt"
+    config.write_text(CONFIG)
+    out = tmp_path / "r.csv"
+    assert main(["run", str(config), "--out", str(out), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert f"--jobs must be at least 1, got {jobs}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_run_subcommand_missing_file_exit_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.txt")]) == 1
     assert "cannot read" in capsys.readouterr().err

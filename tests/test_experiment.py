@@ -100,6 +100,13 @@ def test_run_experiment_parallel_matches_serial():
     assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_experiment_rejects_jobs_below_one(jobs):
+    spec = ExperimentSpec(base=SMALL, seeds=(0,))
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        run_experiment(spec, jobs=jobs)
+
+
 def test_run_experiment_writes_traces(tmp_path):
     spec = ExperimentSpec(base=SMALL, seeds=(0,), variants=("mining_on",))
     run_experiment(spec, trace_dir=str(tmp_path))

@@ -89,6 +89,10 @@ def test_conservation_and_sanity_of_counters():
     assert metrics.prediction_hits <= metrics.locally_satisfied
     assert metrics.sreq_transmissions >= \
         metrics.requests_issued - metrics.locally_satisfied
+    assert metrics.requests_answered > 0
+    assert metrics.requests_issued == (metrics.locally_satisfied
+                                       + metrics.requests_answered
+                                       + metrics.requests_failed)
 
 
 def test_event_times_non_decreasing_in_trace():
@@ -181,6 +185,33 @@ def test_golden_trace_regression():
     assert metrics.requests_issued == 9
     assert metrics.sreq_transmissions == 15
     assert metrics.srep_transmissions == 13
+
+
+def test_golden_trace_dense():
+    # 20 nodes, overheard logging and mining: floods reach most nodes
+    # several times over, and a two-entry seen memory with slow hops makes
+    # nodes forget reverse paths, so replies are dropped in transit and
+    # forgotten requests are handled again.  The hash comes from an engine
+    # that called the handler for every recipient, so it also checks that
+    # skipping known duplicates ahead of the handler changes nothing.
+    import hashlib
+    cfg = SimConfig(node_count=20, service_count=8, sessions_per_consumer=2,
+                    log_overheard=True, mining_enabled=True, sim_duration=210.0,
+                    seed=8, support=0.3, mining_interval=5.0, seen_capacity=2,
+                    hop_latency=0.3, inter_request_gap=0.3)
+    trace: list = []
+    metrics = run(cfg, trace=trace)
+    assert len(trace) == 5878
+    assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == \
+        "a8fcf08b2ca4616e337226cfa2836d8ec48b35c0431c649dc7c4c1c55e9d702c"
+    sreq_deliveries = Counter(
+        (line.split()[2], re.search(r"origin=(\d+) seq=(\d+)", line).groups())
+        for line in trace if line.split()[1] == DELIVER and " sreq " in line)
+    assert sum(sreq_deliveries.values()) > 2 * len(sreq_deliveries)
+    assert metrics.packets_dropped > 0
+    assert metrics.piggybacked_records_sent > 0
+    assert metrics.prediction_hits > 0
+    assert run(cfg) == metrics
 
 
 def test_one_delivery_event_per_transmission():

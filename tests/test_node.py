@@ -203,6 +203,22 @@ def test_handle_srep_destined_insert_order_answer_first():
     assert node._pending == {}
 
 
+def test_only_the_first_reply_answers_a_request():
+    node = make_node(nid=1)
+    ((_, sreq),) = node.issue_request(3, 0, now=0.0)
+    for responder in (2, 4):
+        srep = Srep(responder=responder, destination=1, in_reply_to=sreq.msg_id,
+                    ttl=8, answer=(3, 5))
+        assert node.handle_srep(srep, from_node=responder, now=1.0) == ()
+    assert node.metrics.requests_answered == 1
+    # A reply that arrives after the request timed out answers nothing.
+    ((_, late),) = node.issue_request(6, 0, now=2.0)
+    assert node.expire_pending(now=10.0) == 1
+    node.handle_srep(Srep(2, 1, late.msg_id, 8, answer=(6, 5)), from_node=2, now=11.0)
+    assert node.metrics.requests_answered == 1
+    assert node.metrics.requests_failed == 1
+
+
 def test_handle_srep_transit_forwards_and_caches():
     node = make_node(nid=2)
     # Transit memory: first saw the sreq from node 3.
