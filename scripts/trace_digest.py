@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Print a digest of every run's trace and metrics, to show that a change
+to the engine leaves each run the same.
+
+    python3 scripts/trace_digest.py > digest.jsonl
+
+Runs the benchmark's flood50 and mine_heavy configs (taken from
+``perfbench/run.py``) and the 20-node default config at root seeds 0, 3
+and 7, both variants, each once traced (``run(config, trace=[])``) and
+once untraced, and fails if the two disagree on ``Metrics``.  Prints one
+JSON line per run: the config name, seed, variant, the trace's sha256 (of
+its lines joined by newlines, as the golden tests hash it), its line count
+and the metrics.  Two checkouts behave the same on these runs when their
+outputs are identical.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from dataclasses import asdict, replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run as bench  # noqa: E402  (also puts src/ on sys.path)
+
+from corrdisc.experiment import VARIANTS  # noqa: E402
+from corrdisc.netsim import SimConfig, run  # noqa: E402
+
+SEEDS = (0, 3, 7)
+
+
+def configs() -> dict[str, SimConfig]:
+    return {"flood50": bench.WORKLOADS["flood50"].base_config(),
+            "mine_heavy": bench.WORKLOADS["mine_heavy"].base_config(),
+            "default20": SimConfig(node_count=20, service_count=10)}
+
+
+def digest(config: SimConfig) -> dict:
+    """Trace hash, trace length and metrics of one run of ``config``."""
+    trace: list[str] = []
+    metrics = run(config, trace=trace)
+    untraced = run(config)
+    if metrics != untraced:
+        raise RuntimeError(f"traced metrics {metrics} differ from untraced {untraced}")
+    return {"sha256": hashlib.sha256("\n".join(trace).encode()).hexdigest(),
+            "lines": len(trace),
+            "metrics": asdict(metrics)}
+
+
+def main() -> int:
+    for name, base in configs().items():
+        for seed in SEEDS:
+            for variant in VARIANTS:
+                config = replace(base, seed=seed, mining_enabled=(variant == "mining_on"))
+                print(json.dumps({"config": name, "seed": seed, "variant": variant,
+                                  **digest(config)}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,6 @@
 """Correlation-aware service discovery simulator."""
 
-from .mining import (brute_force_frequent_itemsets, build_fp_tree,
-                     mine_frequent_itemsets)
+from .mining import brute_force_frequent_itemsets, mine_frequent_itemsets
 from .netsim import Metrics, SimConfig, Simulation, run
 from .sessionlog import LogDatabase, SessionRecord
 from .workload import build_correlation_matrix, build_schedule, candidate_set, generate_session
@@ -16,7 +15,6 @@ __all__ = [
     "SessionRecord",
     "brute_force_frequent_itemsets",
     "build_correlation_matrix",
-    "build_fp_tree",
     "build_schedule",
     "candidate_set",
     "generate_session",

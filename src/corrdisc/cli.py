@@ -118,11 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trace", help="directory for per-run event traces")
     p_run.set_defaults(func=_cmd_run)
 
-    p_mine = sub.add_parser("mine", help="mine a transaction file standalone")
+    p_mine = sub.add_parser(
+        "mine", help="exact frequent-itemset mining of a transaction file (vertical "
+                     "bitsets, checked against the brute-force oracle)")
     p_mine.add_argument("transactions", help="one transaction per line")
     p_mine.add_argument("support", type=float, help="support fraction in (0, 1]")
     p_mine.add_argument("--oracle", action="store_true",
-                        help="use the brute-force oracle instead of FP-Growth")
+                        help="use the brute-force oracle instead of the bitset miner")
     p_mine.set_defaults(func=_cmd_mine)
 
     p_cm = sub.add_parser("gen-cm", help="dump a correlation matrix")

@@ -1,18 +1,18 @@
 """Frequent-itemset mining over logged service sessions.
 
 Transactions are sets of integer service ids.  ``mine_frequent_itemsets``
-implements FP-Growth (prefix-tree compression, conditional pattern bases,
-no candidate generation); ``brute_force_frequent_itemsets`` is the
-independent oracle that enumerates every subset of the item universe and
-counts containment directly.  Both return exact support counts.
+mines depth first over vertical bitsets (one transaction mask per item,
+support by popcount of the masks' AND, no candidate generation);
+``brute_force_frequent_itemsets`` is the independent oracle that
+enumerates every subset of the item universe and counts containment
+directly.  Both return exact support counts.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 ServiceId = int
 Transaction = frozenset[ServiceId]
@@ -38,98 +38,6 @@ def min_count(fraction: float, n_transactions: int) -> int:
     return max(1, math.ceil(round(fraction * n_transactions, 9)))
 
 
-class FPNode:
-    """One prefix-tree node: an item, its path count, and tree links."""
-
-    __slots__ = ("item", "count", "parent", "children")
-
-    def __init__(self, item: ServiceId | None, parent: "FPNode | None"):
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict[ServiceId, FPNode] = {}
-
-
-class FPTree:
-    """Prefix tree plus header table.
-
-    ``header`` maps each frequent item to the list of tree nodes carrying
-    it, keyed in descending global frequency (ties by ascending id) --
-    the same order items take along any root-to-leaf path.
-    ``item_counts`` holds the global transaction frequency of each
-    frequent item.
-    """
-
-    __slots__ = ("root", "header", "item_counts")
-
-    def __init__(self, root: FPNode, header: dict[ServiceId, list[FPNode]],
-                 item_counts: dict[ServiceId, int]):
-        self.root = root
-        self.header = header
-        self.item_counts = item_counts
-
-
-def _build_tree(weighted: Iterable[tuple[Iterable[ServiceId], int]],
-                threshold: int) -> FPTree:
-    counts: Counter[ServiceId] = Counter()
-    weighted = list(weighted)
-    for items, weight in weighted:
-        for item in items:
-            counts[item] += weight
-    frequent = {i: c for i, c in counts.items() if c >= threshold}
-    order = sorted(frequent, key=lambda i: (-frequent[i], i))
-    rank = {item: r for r, item in enumerate(order)}
-    header: dict[ServiceId, list[FPNode]] = {item: [] for item in order}
-
-    root = FPNode(None, None)
-    for items, weight in weighted:
-        path = sorted((i for i in items if i in rank), key=rank.__getitem__)
-        node = root
-        for item in path:
-            child = node.children.get(item)
-            if child is None:
-                child = FPNode(item, node)
-                node.children[item] = child
-                header[item].append(child)
-            child.count += weight
-            node = child
-    return FPTree(root, header, frequent)
-
-
-def build_fp_tree(transactions: Sequence[Transaction], min_count: int) -> FPTree:
-    """Build the prefix tree for a transaction list.
-
-    Only items with global frequency >= ``min_count`` enter the tree; each
-    transaction's surviving items are inserted in descending (frequency,
-    then ascending id) order so shared prefixes merge.
-    """
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
-    return _build_tree(((t, 1) for t in transactions), min_count)
-
-
-def _mine_tree(tree: FPTree, threshold: int, suffix: frozenset[ServiceId],
-               out: ItemsetCounts) -> None:
-    for item in reversed(tree.header):
-        chain = tree.header[item]
-        support = sum(node.count for node in chain)
-        itemset = suffix | {item}
-        out[itemset] = support
-        # Conditional pattern base: the prefix path of every node
-        # carrying `item`, weighted by that node's count.
-        base = []
-        for node in chain:
-            path = []
-            parent = node.parent
-            while parent is not None and parent.item is not None:
-                path.append(parent.item)
-                parent = parent.parent
-            if path:
-                base.append((path, node.count))
-        if base:
-            _mine_tree(_build_tree(base, threshold), threshold, itemset, out)
-
-
 def mine_frequent_itemsets(transactions: Sequence[Transaction],
                            support: float) -> ItemsetCounts:
     """All itemsets appearing in at least ceil(support * len(transactions))
@@ -141,9 +49,35 @@ def mine_frequent_itemsets(transactions: Sequence[Transaction],
     if not transactions:
         return {}
     threshold = min_count(support, len(transactions))
+    # Bit t of an item's mask is set when transaction t holds the item, so
+    # the support of an itemset is the popcount of its members' AND.
+    masks: dict[ServiceId, int] = {}
+    for t, items in enumerate(transactions):
+        bit = 1 << t
+        for item in items:
+            masks[item] = masks.get(item, 0) | bit
+    frequent = [(item, mask) for item, mask in sorted(masks.items())
+                if mask.bit_count() >= threshold]
     out: ItemsetCounts = {}
-    _mine_tree(build_fp_tree(transactions, threshold), threshold, frozenset(), out)
+    _extend(frozenset(), frequent, threshold, out)
     return out
+
+
+def _extend(prefix: frozenset[ServiceId], tail: list[tuple[ServiceId, int]],
+            threshold: int, out: ItemsetCounts) -> None:
+    """Record ``prefix`` plus each item of ``tail`` (already frequent with
+    it), then grow each such itemset with the later items of ``tail`` only,
+    so every itemset is reached exactly once."""
+    for i, (item, mask) in enumerate(tail):
+        itemset = prefix | {item}
+        out[itemset] = mask.bit_count()
+        later = []
+        for other, other_mask in tail[i + 1:]:
+            joint = mask & other_mask
+            if joint.bit_count() >= threshold:
+                later.append((other, joint))
+        if later:
+            _extend(itemset, later, threshold, out)
 
 
 def brute_force_frequent_itemsets(transactions: Sequence[Transaction],

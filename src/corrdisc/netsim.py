@@ -86,6 +86,14 @@ class SimConfig:
 
 @dataclass
 class Metrics:
+    """Counters of one run, summed over all nodes.
+
+    ``piggybacked_records_evicted_unused`` counts piggybacked records that
+    left a service table without being used.  Every node a reply passes
+    caches its records (``Node.handle_srep``), so the counter covers relays
+    as well as the consumer: each paid a table slot for the prediction.
+    """
+
     requests_issued: int = 0
     locally_satisfied: int = 0
     prediction_hits: int = 0
@@ -181,8 +189,10 @@ class Simulation:
         self.trace.append(f"{time:.3f} {kind} {node} {detail}")
 
     def _miner(self, transactions: list[frozenset[int]]) -> dict[frozenset[int], int]:
-        # Kept: most snapshots repeat (`perfbench/run.py --trace 1`: cache_hit_ratio
-        # 0.86 on flood50, 0.77 on mine_heavy, where FP-Growth is half the run).
+        # Kept because `perfbench/test_perfbench.py` asserts that each distinct
+        # snapshot is mined once.  Since `Node.remine` skips logs whose closed
+        # sessions did not change, few snapshots repeat (`perfbench/run.py
+        # --trace 1`: cache_hit_ratio 0.17 on mine_heavy, 0.00 on flood50).
         key = tuple(transactions)
         cached = self._mine_cache.get(key)
         if cached is None:

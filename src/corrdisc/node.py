@@ -10,6 +10,7 @@ simulation layer does the actual delivery.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -80,7 +81,13 @@ class Node:
         self.own_services: dict[int, ServiceRecord] = {}
         self.log = LogDatabase(config.log_capacity)
         self.itemsets: dict[frozenset[int], int] = {}
+        # (log.closed_version, transaction count) that `itemsets` was mined
+        # from; an empty log at version 0 mines to nothing.
+        self._mined_from = (0, 0)
         self._seen: dict[MsgId, int | None] = {}   # msg_id -> first upstream hop
+        # The keys of _seen, oldest first (an id is remembered only once), so
+        # eviction need not walk the deleted slots at the front of the dict.
+        self._seen_order: deque[MsgId] = deque()
         self._pending: dict[MsgId, tuple[int, float]] = {}
         self._next_seq = 0
 
@@ -111,8 +118,9 @@ class Node:
     def _remember(self, msg_id: MsgId, upstream: int | None) -> None:
         seen = self._seen
         if len(seen) >= self.cfg.seen_capacity:
-            del seen[next(iter(seen))]
+            del seen[self._seen_order.popleft()]
         seen[msg_id] = upstream
+        self._seen_order.append(msg_id)
 
     # -- protocol handlers --------------------------------------------------
 
@@ -195,12 +203,18 @@ class Node:
 
     def remine(self, miner) -> int:
         """Refresh the itemset snapshot from the closed sessions in the log;
-        returns the number of transactions in the snapshot."""
+        returns the number of transactions in the snapshot.  While the
+        log's closed sessions are unchanged, ``itemsets`` already holds the
+        miner's result and neither the snapshot nor the miner is run."""
+        version, count = self._mined_from
+        if self.log.closed_version == version:
+            return count
         transactions = self.log.snapshot_transactions()
         if len(transactions) >= MIN_MINING_TRANSACTIONS:
             self.itemsets = miner(transactions)
         else:
             self.itemsets = {}
+        self._mined_from = (self.log.closed_version, len(transactions))
         return len(transactions)
 
     def expire_pending(self, now: float) -> int:

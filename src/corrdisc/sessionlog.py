@@ -32,7 +32,10 @@ class LogDatabase:
 
     A session closes once it has been open for ``session_window`` (see
     ``close_stale_sessions``) or as soon as the same consumer opens a new
-    session.  Closed records are immutable.
+    session.  Closed records are immutable, so the closed records, and
+    with them ``snapshot_transactions()``, change only when
+    ``closed_version`` rises: on every close and on every eviction of a
+    closed record.
     """
 
     def __init__(self, capacity: int):
@@ -43,6 +46,7 @@ class LogDatabase:
         # A consumer has at most one open session: opening a new one
         # closes the previous.
         self._open: dict[int, SessionRecord] = {}
+        self.closed_version = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -54,6 +58,7 @@ class LogDatabase:
     def _close(self, record: SessionRecord) -> None:
         record.closed = True
         del self._open[record.consumer]
+        self.closed_version += 1
 
     def record_request(self, key: SessionKey, service: int, now: float) -> None:
         """Add one request to the open session under ``key``, creating the
@@ -68,7 +73,9 @@ class LogDatabase:
             self._close(record)
         if len(self._records) == self.capacity:
             oldest = self._records.popleft()
-            if not oldest.closed:
+            if oldest.closed:
+                self.closed_version += 1
+            else:
                 del self._open[oldest.consumer]
         record = SessionRecord(consumer, session_seq, now, {service})
         self._records.append(record)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrdisc.mining import (MAX_ORACLE_UNIVERSE, brute_force_frequent_itemsets,
-                             build_fp_tree, min_count, mine_frequent_itemsets,
+                             min_count, mine_frequent_itemsets,
                              parse_transactions_text, rank_related)
 
 
@@ -38,43 +38,6 @@ def test_min_count_rejects_bad_fraction():
         min_count(0.0, 3)
     with pytest.raises(ValueError):
         min_count(1.2, 3)
-
-
-# -- tree construction -----------------------------------------------------
-
-def test_build_fp_tree_empty():
-    tree = build_fp_tree([], 1)
-    assert tree.root.children == {}
-    assert tree.header == {}
-
-
-def test_build_fp_tree_single_transaction():
-    tree = build_fp_tree([fs(1, 2)], 1)
-    # Tie on frequency 1 broken by ascending id: path 1 -> 2.
-    assert list(tree.root.children) == [1]
-    n1 = tree.root.children[1]
-    assert n1.count == 1
-    assert list(n1.children) == [2]
-    assert n1.children[2].count == 1
-
-
-def test_build_fp_tree_shared_prefix():
-    tree = build_fp_tree([fs(1, 2), fs(1, 3)], 1)
-    n1 = tree.root.children[1]
-    assert n1.count == 2
-    assert sorted(n1.children) == [2, 3]
-    assert n1.children[2].count == 1
-    assert n1.children[3].count == 1
-    # Oracle cross-check on per-item counts.
-    oracle = brute_force_frequent_itemsets([fs(1, 2), fs(1, 3)], 0.1)
-    assert oracle[fs(1)] == 2 and oracle[fs(2)] == 1 and oracle[fs(3)] == 1
-
-
-def test_build_fp_tree_filters_infrequent():
-    tree = build_fp_tree([fs(1, 2), fs(1, 3)], 2)
-    assert list(tree.header) == [1]
-    assert list(tree.root.children) == [1]
-    assert tree.root.children[1].children == {}
 
 
 # -- mining ------------------------------------------------------------------
@@ -128,6 +91,18 @@ def test_fp_growth_matches_oracle(txns, support):
         brute_force_frequent_itemsets(txns, support)
 
 
+# The scale of the mine_heavy benchmark logs: up to 48 closed sessions
+# over 16 services, so transaction masks are wide and itemsets long.
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.frozensets(st.integers(min_value=0, max_value=15), min_size=1,
+                              max_size=16),
+                min_size=1, max_size=48),
+       st.sampled_from([0.3, 0.5, 0.8]))
+def test_miner_matches_oracle_at_benchmark_scale(txns, support):
+    assert mine_frequent_itemsets(txns, support) == \
+        brute_force_frequent_itemsets(txns, support)
+
+
 @settings(max_examples=200, deadline=None)
 @given(transactions_st, support_st)
 def test_downward_closure_and_exactness(txns, support):
@@ -140,32 +115,6 @@ def test_downward_closure_and_exactness(txns, support):
             if subset:
                 assert subset in mined
                 assert mined[subset] >= count
-
-
-@settings(max_examples=200, deadline=None)
-@given(transactions_st, st.integers(min_value=1, max_value=5))
-def test_tree_invariants(txns, threshold):
-    tree = build_fp_tree(txns, threshold)
-    # Header keys in descending (frequency, ascending id) order; chains
-    # conserve each item's global frequency.
-    keys = list(tree.header)
-    ranks = [(-tree.item_counts[i], i) for i in keys]
-    assert ranks == sorted(ranks)
-    for item, chain in tree.header.items():
-        assert sum(node.count for node in chain) == tree.item_counts[item]
-    # Path order strictly follows the insertion key; child counts never
-    # exceed the parent's.
-    def walk(node):
-        child_sum = 0
-        for item, child in node.children.items():
-            if node.item is not None:
-                assert (-tree.item_counts[node.item], node.item) < \
-                    (-tree.item_counts[item], item)
-            child_sum += child.count
-            walk(child)
-        if node.item is not None:
-            assert node.count >= child_sum
-    walk(tree.root)
 
 
 def test_mining_is_deterministic_over_item_order():

@@ -290,6 +290,26 @@ def test_remine_respects_minimum_database():
     assert node.itemsets == {fs(1): 3}
 
 
+def test_remine_skips_the_miner_while_closed_sessions_are_unchanged():
+    node = make_node(log_overheard=True)
+    calls = []
+
+    def miner(txns):
+        calls.append(list(txns))
+        return {fs(1): len(txns)}
+
+    for i in range(3):
+        node.log.record_request((5, i), 1, now=float(i))
+    node.log.close_stale_sessions(now=100.0, session_window=1.0)
+    assert node.remine(miner) == 3
+    node.log.record_request((6, 0), 2, now=101.0)   # an open session only
+    assert [node.remine(miner) for _ in range(3)] == [3, 3, 3]
+    assert len(calls) == 1 and node.itemsets == {fs(1): 3}
+    node.log.close_stale_sessions(now=200.0, session_window=1.0)
+    assert node.remine(miner) == 4
+    assert len(calls) == 2 and node.itemsets == {fs(1): 4}
+
+
 def test_baseline_related_always_empty():
     # Without mined itemsets every reply has an empty related list.
     node = make_node(nid=2)
@@ -303,4 +323,4 @@ def test_seen_memory_bounded():
     for seq in range(10):
         node.handle_sreq(Sreq(origin=1, seq=seq, session_seq=0, requested=3, ttl=0),
                          from_node=1, now=0.0)
-    assert len(node._seen) == 4
+    assert list(node._seen) == list(node._seen_order) == [(1, seq) for seq in range(6, 10)]

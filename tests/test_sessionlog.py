@@ -118,3 +118,35 @@ def test_eviction_law(capacity, k):
         db.record_request(key, i % 3, now=float(i))
     survivors = [r.key for r in db.records]
     assert survivors == keys[max(0, k - capacity):]
+
+
+def test_closed_version_rises_only_when_closed_records_change():
+    db = LogDatabase(2)
+    db.record_request((1, 0), 5, now=0.0)
+    db.record_request((1, 0), 6, now=1.0)      # add to an open session
+    assert db.closed_version == 0
+    db.record_request((2, 0), 5, now=2.0)
+    db.record_request((3, 0), 5, now=3.0)      # evicts consumer 1's open record
+    assert db.closed_version == 0
+    db.close_stale_sessions(now=50.0, session_window=10.0)   # closes two
+    assert db.closed_version == 2
+    db.record_request((3, 1), 7, now=51.0)     # evicts closed (2, 0)
+    assert db.closed_version == 3
+    db.record_request((3, 2), 8, now=52.0)     # closes (3, 1), evicts closed (3, 0)
+    assert db.closed_version == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3),
+                          st.booleans()), max_size=30))
+def test_snapshot_unchanged_while_closed_version_unchanged(ops):
+    db = LogDatabase(3)
+    version, snapshot = db.closed_version, db.snapshot_transactions()
+    for now, (consumer, seq, service, scan) in enumerate(ops):
+        if scan:
+            db.close_stale_sessions(now=float(now), session_window=2.0)
+        else:
+            db.record_request((consumer, seq), service, now=float(now))
+        if db.closed_version == version:
+            assert db.snapshot_transactions() == snapshot
+        version, snapshot = db.closed_version, db.snapshot_transactions()
