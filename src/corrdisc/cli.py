@@ -96,6 +96,9 @@ def _cmd_gen_cm(args) -> int:
     if args.services < 1:
         print("error: need at least one service", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print(f"error: seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     # Same substream derivation as a simulation run, so the dump matches
     # the matrix an experiment with this seed would use.
     _, _, workload_seq = SeedSequence(args.seed).spawn(3)

@@ -38,6 +38,8 @@ class ExperimentSpec:
     def validate(self) -> None:
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if not self.variants:
             raise ConfigError("at least one variant is required")
         unknown = set(self.variants) - set(VARIANTS)
@@ -164,7 +166,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
         os.makedirs(trace_dir, exist_ok=True)
     combos = [(spec.base, seed, variant, trace_dir)
               for seed in sorted(set(spec.seeds))
-              for variant in sorted(spec.variants)]
+              for variant in sorted(set(spec.variants))]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_one, combos))

@@ -3,16 +3,20 @@
 Nodes are placed uniformly on the field and linked by the unit-disk rule;
 packets flood (requests) or retrace reverse paths (replies) with a fixed
 per-hop latency.  Events execute in (time, insertion seq) order, so two
-runs of the same config produce identical metrics and traces.  The root
-seed is split into placement / service-assignment / workload substreams,
-which keeps the workload identical when only ``mining_enabled`` differs.
+runs of the same config produce identical metrics and traces.  Timers
+wait in a heap and deliveries in a FIFO, which stays sorted because each
+delivery is due one fixed hop latency after the never-decreasing clock.
+The root seed is split into placement / service-assignment / workload
+substreams, so the workload is the same when only ``mining_enabled`` differs.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 from numpy.random import SeedSequence, default_rng
 
@@ -21,7 +25,7 @@ from .node import Node
 from .packets import Sreq, Srep
 from .workload import CorrelationMatrix, build_correlation_matrix, build_schedule
 
-# Event kinds (trace names follow these).
+# Trace names of the events; the timer kinds also tag heap entries.
 DELIVER = "deliver"
 ISSUE = "issue_request"
 MINING_TICK = "mining_tick"
@@ -80,8 +84,9 @@ class SimConfig:
             raise ValueError(f"consumer_fraction must be in [0, 1], got {self.consumer_fraction}")
         if not 0 <= self.initial_ttl <= 255:
             raise ValueError(f"initial_ttl must be in [0, 255], got {self.initial_ttl}")
-        if self.sim_duration < 0:
-            raise ValueError(f"sim_duration must be >= 0, got {self.sim_duration}")
+        for name in ("sim_duration", "seed"):  # SeedSequence needs a seed >= 0
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -168,7 +173,11 @@ class Simulation:
         for service, provider in self.placement.items():
             self.nodes[provider].host_service(service)
         self._heap: list = []
-        self._next_event = 0
+        # Deliveries are appended in (time, seq) order, as each is due a fixed
+        # hop_latency after the current time; one seq numbers both queues.
+        self._deliveries: deque = deque()  # (time, seq, recipients, from_node, packet)
+        self._seq = count()
+        self._neighbors = [frozenset(ns) for ns in self.topology.adjacency.values()]
         self._mine_cache: dict[tuple, dict] = {}
         for spec in self.schedule:
             for idx, service in enumerate(sorted(spec.services)):
@@ -182,8 +191,7 @@ class Simulation:
     # -- event plumbing ----------------------------------------------------
 
     def _push(self, time: float, kind: str, payload: tuple) -> None:
-        heapq.heappush(self._heap, (time, self._next_event, kind, payload))
-        self._next_event += 1
+        heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
 
     def _trace(self, time: float, kind: str, node: int | str, detail: str) -> None:
         self.trace.append(f"{time:.3f} {kind} {node} {detail}")
@@ -211,14 +219,13 @@ class Simulation:
             self.metrics.srep_transmissions += 1
         if self.trace is not None:
             self._trace(now, "tx_bcast", from_node, _packet_detail(packet))
-        heapq.heappush(self._heap, (now + self.cfg.hop_latency, self._next_event, DELIVER,
-                                    (self.topology.adjacency[from_node], from_node, packet)))
-        self._next_event += 1
+        self._deliveries.append((now + self.cfg.hop_latency, next(self._seq),
+                                 self.topology.adjacency[from_node], from_node, packet))
 
     def deliver_unicast(self, from_node: int, to: int, packet: Sreq | Srep,
                         now: float) -> None:
         """Count and trace one unicast to a neighbour; drop it otherwise."""
-        if to not in self.topology.adjacency[from_node]:
+        if to not in self._neighbors[from_node]:
             self.metrics.packets_dropped += 1
             return
         if isinstance(packet, Sreq):
@@ -227,33 +234,25 @@ class Simulation:
             self.metrics.srep_transmissions += 1
         if self.trace is not None:
             self._trace(now, "tx_ucast", from_node, f"to={to} " + _packet_detail(packet))
-        heapq.heappush(self._heap, (now + self.cfg.hop_latency, self._next_event, DELIVER,
-                                    ((to,), from_node, packet)))
-        self._next_event += 1
-
-    def _dispatch_emissions(self, from_node: int, emissions, now: float) -> None:
-        for to, packet in emissions:
-            if to is None:
-                self.deliver_broadcast(from_node, packet, now)
-            else:
-                self.deliver_unicast(from_node, to, packet, now)
+        self._deliveries.append((now + self.cfg.hop_latency, next(self._seq),
+                                 (to,), from_node, packet))
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Metrics:
         cfg = self.cfg
-        heap = self._heap
-        duration = cfg.sim_duration
-        nodes = self.nodes
+        heap, deliveries, nodes = self._heap, self._deliveries, self.nodes
+        end = (cfg.sim_duration, -1)  # sorts after every event due before the end
         tracing = self.trace is not None
-        while heap and heap[0][0] < duration:
-            time, _, kind, payload = heapq.heappop(heap)
-            if kind == DELIVER:
-                # Recipients in adjacency order; the handler is looked up on
-                # the class so that wrappers installed there see every call.
-                # A recipient that has already seen an SREQ would drop it at
-                # once, so it is skipped here (its deliver line still shows).
-                recipients, from_node, packet = payload
+        broadcast, unicast = self.deliver_broadcast, self.deliver_unicast
+        while True:
+            # Run the deliveries that sort before the timer at the heap's head
+            # (never empty: SCAN reschedules itself), then that timer.
+            # Recipients go in adjacency order; one that has seen an SREQ
+            # already is skipped (its deliver line still shows).
+            limit = min(heap[0], end)
+            while deliveries and deliveries[0] < limit:
+                time, _, recipients, from_node, packet = deliveries.popleft()
                 if tracing:
                     detail = f"from={from_node} " + _packet_detail(packet)
                 if isinstance(packet, Sreq):
@@ -266,18 +265,23 @@ class Simulation:
                     node = nodes[to]
                     if msg_id in node._seen:
                         continue
-                    emissions = handler(node, packet, from_node, time)
-                    if emissions:
-                        self._dispatch_emissions(to, emissions, time)
-            elif kind == ISSUE:
+                    for hop, out in handler(node, packet, from_node, time):
+                        if hop is None:
+                            broadcast(to, out, time)
+                        else:
+                            unicast(to, hop, out, time)
+            if heap[0] >= end:
+                break
+            time, _, kind, payload = heapq.heappop(heap)
+            if kind == ISSUE:
                 consumer, service, session_seq = payload
-                emissions = self.nodes[consumer].issue_request(service, session_seq, time)
+                emissions = nodes[consumer].issue_request(service, session_seq, time)
                 if tracing:
                     self._trace(time, ISSUE, consumer,
                                 f"svc={service} session={session_seq} "
                                 f"local={int(not emissions)}")
-                if emissions:
-                    self._dispatch_emissions(consumer, emissions, time)
+                for _, sreq in emissions:
+                    broadcast(consumer, sreq, time)
             elif kind == MINING_TICK:
                 (nid,) = payload
                 node = self.nodes[nid]

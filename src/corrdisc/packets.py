@@ -19,7 +19,7 @@ answer's.  ``decode_packet`` accepts exactly what ``encode_packet`` emits.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SREQ_TYPE = 0x01
 SREP_TYPE = 0x02
@@ -38,8 +38,9 @@ class PacketError(ValueError):
     """Raised for malformed buffers and out-of-range field values."""
 
 
-@dataclass(frozen=True, slots=True)
-class Sreq:
+# NamedTuples, not frozen dataclasses: a relay builds a packet per hop, and a
+# tuple is about three times cheaper to build.
+class Sreq(NamedTuple):
     origin: int
     seq: int
     session_seq: int
@@ -51,8 +52,7 @@ class Sreq:
         return (self.origin, self.seq)
 
 
-@dataclass(frozen=True, slots=True)
-class Srep:
+class Srep(NamedTuple):
     responder: int
     destination: int
     in_reply_to: tuple[int, int]

@@ -83,14 +83,15 @@ class LogDatabase:
 
     def close_stale_sessions(self, now: float, session_window: float) -> None:
         """Close every open record that has been open for at least
-        ``session_window`` (boundary inclusive)."""
+        ``session_window`` (boundary inclusive).  Requests come in time
+        order, so the stale records lead ``_open`` (in opening order)."""
         if session_window <= 0:
             raise ValueError("session_window must be positive")
-        if not self._open:
-            return
-        for record in list(self._open.values()):
-            if now - record.opened_at >= session_window:
-                self._close(record)
+        while self._open:
+            record = next(iter(self._open.values()))
+            if now - record.opened_at < session_window:
+                return
+            self._close(record)
 
     def snapshot_transactions(self) -> list[frozenset[int]]:
         """Service sets of all closed records, oldest first.  Pure read."""

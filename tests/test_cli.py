@@ -116,6 +116,22 @@ def test_gen_cm_rejects_zero_services(capsys):
     assert main(["gen-cm", "0", "42"]) == 2
 
 
+@pytest.mark.parametrize("line", ["seed = -2", "seeds = 0,-1"])
+def test_run_subcommand_negative_seed_exit_2(tmp_path, capsys, line):
+    config = tmp_path / "bad.txt"
+    config.write_text(CONFIG.replace("seeds = 0,1", line))
+    assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_gen_cm_rejects_negative_seed(capsys):
+    assert main(["gen-cm", "3", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be >= 0" in captured.err
+    assert not captured.out
+
+
 def test_log_level_any_case_accepted(monkeypatch, capsys):
     monkeypatch.setenv("CORRDISC_LOG", "DeBuG")
     assert main(["gen-cm", "3", "1"]) == 0

@@ -95,6 +95,14 @@ def test_run_experiment_single_variant_baseline():
     assert rows[0].metrics.piggybacked_records_sent == 0
 
 
+def test_run_experiment_runs_each_variant_once():
+    spec = ExperimentSpec(base=SMALL, seeds=(3, 3),
+                          variants=("mining_on", "mining_off", "mining_on"))
+    rows = run_experiment(spec)
+    assert [(r.seed, r.variant) for r in rows] == [(3, "mining_off"), (3, "mining_on")]
+    assert summarize(rows)["variants"]["mining_on"]["runs"] == 1
+
+
 def test_run_experiment_parallel_matches_serial():
     spec = ExperimentSpec(base=SMALL, seeds=(0, 1))
     assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
@@ -159,3 +167,5 @@ def test_spec_validation():
         ExperimentSpec(base=SMALL, seeds=()).validate()
     with pytest.raises(ConfigError):
         ExperimentSpec(base=SMALL, seeds=(1,), variants=()).validate()
+    with pytest.raises(ConfigError, match="seeds must be >= 0"):
+        ExperimentSpec(base=SMALL, seeds=(1, -1)).validate()

@@ -144,9 +144,8 @@ def test_unicast_to_non_neighbor_dropped():
     i, j = isolated_pair
     sim.deliver_unicast(i, j, Sreq(0, 0, 0, 1, 1), now=0.0)
     assert sim.metrics.packets_dropped == 1
-    # A delivery event's payload is (recipients, from_node, packet).
-    assert not any(e[2] == DELIVER and j in e[3][0] and e[3][1] == i
-                   for e in sim._heap)
+    assert sim.metrics.sreq_transmissions == 0
+    assert not sim._deliveries
 
 
 def test_injected_correlation_matrix_is_used():
@@ -214,17 +213,39 @@ def test_golden_trace_dense():
     assert run(cfg) == metrics
 
 
+def test_golden_trace_slow_hops():
+    # Hops as slow as two scan periods, with the request gap and the scan
+    # and mining periods all on whole seconds, so deliveries fall due at the
+    # same times as timers.  The event scheduled first must run first: an
+    # engine that ran timers ahead of deliveries due at the same time
+    # keeps both hashes above but changes this one.
+    import hashlib
+    cfg = replace(SMALL, seed=3, hop_latency=2.0, scan_interval=1.0,
+                  mining_interval=2.0, inter_request_gap=1.0, pending_timeout=30.0,
+                  support=0.3, log_overheard=True)
+    trace: list = []
+    metrics = run(cfg, trace=trace)
+    assert len(trace) == 1238
+    assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == \
+        "49c498236b5be80df3f7c8610251238d29c91ebae7a0287af654cabe38f294f7"
+    assert metrics.requests_answered > 0
+    assert run(cfg) == metrics
+
+
 def test_one_delivery_event_per_transmission():
     sim = Simulation(SMALL)
     sender = next(i for i, ns in sim.topology.adjacency.items() if ns)
     neighbor = sim.topology.adjacency[sender][0]
-    before = len(sim._heap)
+    timers = list(sim._heap)
     sreq = Sreq(sender, 0, 0, 1, 1)
     sim.deliver_broadcast(sender, sreq, now=0.0)
     sim.deliver_unicast(sender, neighbor, sreq, now=0.0)
-    assert len(sim._heap) == before + 2
-    assert [e[3] for e in sorted(sim._heap) if e[2] == DELIVER] == [
+    assert sim._heap == timers   # deliveries never enter the timer heap
+    # A delivery is (time, seq, recipients, from_node, packet).
+    assert [e[2:] for e in sim._deliveries] == [
         (sim.topology.adjacency[sender], sender, sreq), ((neighbor,), sender, sreq)]
+    first, second = sim._deliveries
+    assert first[:2] < second[:2]
 
 
 FLOAT_FIELDS = ("field_size", "radio_range", "eta", "support", "session_window",
@@ -255,3 +276,5 @@ def test_config_validation():
         run(replace(SMALL, node_count=0))
     with pytest.raises(ValueError):
         run(replace(SMALL, sim_duration=-1.0))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        run(replace(SMALL, seed=-2))

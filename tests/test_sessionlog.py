@@ -150,3 +150,34 @@ def test_snapshot_unchanged_while_closed_version_unchanged(ops):
         if db.closed_version == version:
             assert db.snapshot_transactions() == snapshot
         version, snapshot = db.closed_version, db.snapshot_transactions()
+
+
+def _close_stale_by_full_scan(db, now, session_window):
+    """The scan of every open record that ``close_stale_sessions`` replaced."""
+    for record in list(db._open.values()):
+        if now - record.opened_at >= session_window:
+            db._close(record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.sampled_from((0.5, 1.0, 2.0)),
+       st.lists(st.tuples(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.integers(0, 3),
+                          st.integers(0, 2), st.integers(0, 4), st.booleans()),
+                max_size=40))
+def test_close_stale_matches_full_scan(capacity, window, ops):
+    # Times never decrease, as in a simulation; steps of 0 make ties and the
+    # dyadic steps hit the inclusive boundary exactly.
+    fast, full = LogDatabase(capacity), LogDatabase(capacity)
+    now = 0.0
+    for step, consumer, seq, service, scan in ops:
+        now += step
+        if scan:
+            fast.close_stale_sessions(now, window)
+            _close_stale_by_full_scan(full, now, window)
+        else:
+            fast.record_request((consumer, seq), service, now)
+            full.record_request((consumer, seq), service, now)
+        assert [(r.key, r.services, r.closed) for r in fast.records] == \
+            [(r.key, r.services, r.closed) for r in full.records]
+        assert list(fast._open) == list(full._open)
+        assert fast.closed_version == full.closed_version
