@@ -95,8 +95,9 @@ def parse_config(text: str) -> ExperimentSpec:
     Keys are SimConfig field names plus ``seeds`` (comma list),
     ``variants`` (comma list) and ``out`` (output path); ``#`` starts a
     comment.  ``node_count`` and ``service_count`` are required, all other
-    keys default.
+    keys default.  Each key may be set once.
     """
+    first_line: dict[str, int] = {}
     overrides: dict = {}
     seeds: tuple[int, ...] | None = None
     variants: tuple[str, ...] = VARIANTS
@@ -111,6 +112,10 @@ def parse_config(text: str) -> ExperimentSpec:
         key, value = key.strip(), value.strip()
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} "
+                              f"(first on line {first_line[key]})")
+        first_line[key] = lineno
         if key == "seeds":
             try:
                 seeds = tuple(int(tok) for tok in value.split(","))
@@ -190,16 +195,6 @@ def rows_to_table(rows: list[RunRow]) -> list[list[str]]:
 def write_csv(rows: list[RunRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows_to_table(rows))
-
-
-def read_csv(path: str) -> list[RunRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
-            metrics = Metrics(**{name: int(record[name]) for name in METRIC_FIELDS})
-            rows.append(RunRow(int(record["seed"]), record["variant"], metrics))
-    return rows
 
 
 def summarize(rows: list[RunRow]) -> dict:

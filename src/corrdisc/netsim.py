@@ -6,6 +6,9 @@ per-hop latency.  Events execute in (time, insertion seq) order, so two
 runs of the same config produce identical metrics and traces.  Timers
 wait in a heap and deliveries in a FIFO, which stays sorted because each
 delivery is due one fixed hop latency after the never-decreasing clock.
+The loop handles the two packet kinds apart: an SREQ broadcast visits its
+recipients in adjacency order, skipping those that have seen it, and an
+SREP, always a unicast, goes straight to its one recipient.
 The root seed is split into placement / service-assignment / workload
 substreams, so the workload is the same when only ``mining_enabled`` differs.
 """
@@ -160,6 +163,7 @@ class Simulation:
                  trace: list[str] | None = None):
         config.validate()
         self.cfg = config
+        self._hop_latency = config.hop_latency  # read on every transmission
         self.trace = trace
         placement_seq, services_seq, workload_seq = SeedSequence(config.seed).spawn(3)
         self.topology = place_nodes(config, default_rng(placement_seq))
@@ -219,7 +223,7 @@ class Simulation:
             self.metrics.srep_transmissions += 1
         if self.trace is not None:
             self._trace(now, "tx_bcast", from_node, _packet_detail(packet))
-        self._deliveries.append((now + self.cfg.hop_latency, next(self._seq),
+        self._deliveries.append((now + self._hop_latency, next(self._seq),
                                  self.topology.adjacency[from_node], from_node, packet))
 
     def deliver_unicast(self, from_node: int, to: int, packet: Sreq | Srep,
@@ -234,7 +238,7 @@ class Simulation:
             self.metrics.srep_transmissions += 1
         if self.trace is not None:
             self._trace(now, "tx_ucast", from_node, f"to={to} " + _packet_detail(packet))
-        self._deliveries.append((now + self.cfg.hop_latency, next(self._seq),
+        self._deliveries.append((now + self._hop_latency, next(self._seq),
                                  (to,), from_node, packet))
 
     # -- main loop -----------------------------------------------------------
@@ -248,28 +252,34 @@ class Simulation:
         while True:
             # Run the deliveries that sort before the timer at the heap's head
             # (never empty: SCAN reschedules itself), then that timer.
-            # Recipients go in adjacency order; one that has seen an SREQ
-            # already is skipped (its deliver line still shows).
+            # SREQ recipients go in adjacency order; one that has seen the
+            # request already is skipped (its deliver line still shows).
             limit = min(heap[0], end)
             while deliveries and deliveries[0] < limit:
                 time, _, recipients, from_node, packet = deliveries.popleft()
                 if tracing:
                     detail = f"from={from_node} " + _packet_detail(packet)
                 if isinstance(packet, Sreq):
-                    handler, msg_id = Node.handle_sreq, packet.msg_id
+                    msg_id = (packet[0], packet[1])
+                    for to in recipients:
+                        if tracing:
+                            self._trace(time, DELIVER, to, detail)
+                        node = nodes[to]
+                        if msg_id in node._seen:
+                            continue
+                        for hop, out in Node.handle_sreq(node, packet, from_node, time):
+                            if hop is None:
+                                broadcast(to, out, time)
+                            else:
+                                unicast(to, hop, out, time)
                 else:
-                    handler, msg_id = Node.handle_srep, None  # never a key of _seen
-                for to in recipients:
+                    # Replies are only ever unicast, and they carry no msg_id
+                    # of their own to skip on.
+                    (to,) = recipients
                     if tracing:
                         self._trace(time, DELIVER, to, detail)
-                    node = nodes[to]
-                    if msg_id in node._seen:
-                        continue
-                    for hop, out in handler(node, packet, from_node, time):
-                        if hop is None:
-                            broadcast(to, out, time)
-                        else:
-                            unicast(to, hop, out, time)
+                    for hop, out in Node.handle_srep(nodes[to], packet, from_node, time):
+                        unicast(to, hop, out, time)
             if heap[0] >= end:
                 break
             time, _, kind, payload = heapq.heappop(heap)

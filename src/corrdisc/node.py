@@ -6,6 +6,12 @@ flooded requests, and the pending-request bookkeeping behind the
 locally-satisfied metric.  Handlers return the packets to send as
 ``(next_hop, packet)`` pairs, ``next_hop=None`` meaning broadcast; the
 simulation layer does the actual delivery.
+
+Every node a reply passes learns its records (``Node._learn``).  A run
+relays replies hundreds of thousands of times, so each hop is kept cheap:
+a known service's record is updated in place, a ``ServiceRecord`` is
+built only when a service enters the table, and packets are built with
+``tuple.__new__``, skipping the NamedTuple's Python-level ``__new__``.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ if TYPE_CHECKING:
 
 MsgId = tuple[int, int]
 Emission = tuple[int | None, Sreq | Srep]
+
+_new_packet = tuple.__new__  # _new_packet(Srep, fields) is a real Srep
 
 
 @dataclass(slots=True)
@@ -78,6 +86,12 @@ class Node:
         self.cfg = config
         self.metrics = metrics
         self.table = ServiceTable(config.cache_capacity)
+        # The per-hop paths read these instead of the table's methods and
+        # the config's fields.
+        self._records = self.table._entries
+        self._capacity = config.cache_capacity
+        self._seen_capacity = config.seen_capacity
+        self._initial_ttl = config.initial_ttl
         self.own_services: dict[int, ServiceRecord] = {}
         self.log = LogDatabase(config.log_capacity)
         self.itemsets: dict[frozenset[int], int] = {}
@@ -98,26 +112,36 @@ class Node:
         self.own_services[service] = ServiceRecord(service, self.nid, 0.0)
 
     def lookup(self, service: int) -> ServiceRecord | None:
-        record = self.own_services.get(service)
-        if record is not None:
-            return record
-        return self.table.get(service)
+        return self.own_services.get(service) or self._records.get(service)
 
-    def _store(self, record: ServiceRecord) -> None:
-        if record.service in self.own_services:
+    def _learn(self, service: int, provider: int, now: float, piggybacked: bool) -> None:
+        """Cache one record of a reply, as ``ServiceTable.insert`` of a new
+        ``ServiceRecord`` would: a known service is overwritten in place,
+        keeping its FIFO position, and a new one evicts the oldest record
+        of a full table."""
+        if service in self.own_services:
             return
-        current = self.table.get(record.service)
-        if record.piggybacked and current is not None and not current.piggybacked:
-            return  # a prediction never downgrades a directly learned record
-        evicted = self.table.insert(record)
-        if evicted is not None and evicted.piggybacked and not evicted.used:
-            self.metrics.piggybacked_records_evicted_unused += 1
+        records = self._records
+        record = records.get(service)
+        if record is not None:
+            if piggybacked and not record.piggybacked:
+                return  # a prediction never downgrades a directly learned record
+            record.provider = provider
+            record.learned_at = now
+            record.piggybacked = piggybacked
+            record.used = False
+            return
+        if len(records) == self._capacity:
+            evicted = records.pop(next(iter(records)))
+            if evicted.piggybacked and not evicted.used:
+                self.metrics.piggybacked_records_evicted_unused += 1
+        records[service] = ServiceRecord(service, provider, now, piggybacked)
 
     # -- duplicate suppression / reverse path ------------------------------
 
     def _remember(self, msg_id: MsgId, upstream: int | None) -> None:
         seen = self._seen
-        if len(seen) >= self.cfg.seen_capacity:
+        if len(seen) >= self._seen_capacity:
             del seen[self._seen_order.popleft()]
         seen[msg_id] = upstream
         self._seen_order.append(msg_id)
@@ -137,53 +161,52 @@ class Node:
             return ()
         seq = self._next_seq
         self._next_seq += 1
-        sreq = Sreq(self.nid, seq, session_seq, service, self.cfg.initial_ttl)
+        sreq = Sreq(self.nid, seq, session_seq, service, self._initial_ttl)
         self._remember(sreq.msg_id, None)
         self._pending[sreq.msg_id] = (service, now)
         m.broadcasts_originated += 1
         return ((None, sreq),)
 
     def handle_sreq(self, sreq: Sreq, from_node: int, now: float) -> tuple[Emission, ...]:
-        msg_id = sreq.msg_id
+        origin, seq, session_seq, requested, ttl = sreq
+        msg_id = (origin, seq)
         if msg_id in self._seen:
             # Re-logging a duplicate would be a no-op (set semantics).
             return ()
         self._remember(msg_id, from_node)
         if self.cfg.log_overheard:
-            self.log.record_request((sreq.origin, sreq.session_seq), sreq.requested, now)
-        record = self.lookup(sreq.requested)
+            self.log.record_request((origin, session_seq), requested, now)
+        record = self.own_services.get(requested) or self._records.get(requested)
         if record is not None:
             record.used = True
-            related = self._pick_related(sreq.requested)
+            related = self._pick_related(requested)
             if related:
                 self.metrics.piggybacked_records_sent += len(related)
-            srep = Srep(responder=self.nid, destination=sreq.origin,
-                        in_reply_to=msg_id, ttl=self.cfg.initial_ttl,
-                        answer=(sreq.requested, record.provider),
-                        related=tuple(related))
+            srep = _new_packet(Srep, (self.nid, origin, msg_id, self._initial_ttl,
+                                      (requested, record.provider), tuple(related)))
             return ((from_node, srep),)
-        if sreq.ttl > 0:
-            return ((None, Sreq(sreq.origin, sreq.seq, sreq.session_seq, sreq.requested,
-                                sreq.ttl - 1)),)
+        if ttl > 0:
+            return ((None, _new_packet(Sreq, (origin, seq, session_seq, requested,
+                                              ttl - 1))),)
         return ()
 
     def handle_srep(self, srep: Srep, from_node: int, now: float) -> tuple[Emission, ...]:
-        service, provider = srep.answer
-        self._store(ServiceRecord(service, provider, now))
-        for rel_service, rel_provider in srep.related:
-            self._store(ServiceRecord(rel_service, rel_provider, now, piggybacked=True))
-        if srep.destination == self.nid:
+        responder, destination, in_reply_to, ttl, answer, related = srep
+        self._learn(answer[0], answer[1], now, False)
+        for rel_service, rel_provider in related:
+            self._learn(rel_service, rel_provider, now, True)
+        if destination == self.nid:
             # Only the first reply answers the request; later ones find
             # nothing pending.
-            if self._pending.pop(srep.in_reply_to, None) is not None:
+            if self._pending.pop(in_reply_to, None) is not None:
                 self.metrics.requests_answered += 1
             return ()
-        upstream = self._seen.get(srep.in_reply_to)
-        if upstream is None or srep.ttl <= 0:
+        upstream = self._seen.get(in_reply_to)
+        if upstream is None or ttl <= 0:
             self.metrics.packets_dropped += 1
             return ()
-        return ((upstream, Srep(srep.responder, srep.destination, srep.in_reply_to,
-                                srep.ttl - 1, srep.answer, srep.related)),)
+        return ((upstream, _new_packet(Srep, (responder, destination, in_reply_to,
+                                              ttl - 1, answer, related))),)
 
     def _pick_related(self, service: int) -> list[tuple[int, int]]:
         """Related services the node can actually vouch for: mined as

@@ -96,11 +96,3 @@ class LogDatabase:
     def snapshot_transactions(self) -> list[frozenset[int]]:
         """Service sets of all closed records, oldest first.  Pure read."""
         return [frozenset(r.services) for r in self._records if r.closed]
-
-    def dump(self) -> str:
-        """One line per record: ``<consumer>:<seq> closed=<0|1> services=<ids>``."""
-        lines = []
-        for r in self._records:
-            ids = ",".join(str(s) for s in sorted(r.services))
-            lines.append(f"{r.consumer}:{r.session_seq} closed={int(r.closed)} services={ids}")
-        return "\n".join(lines)

@@ -101,18 +101,3 @@ def consumer_ids(config: "SimConfig") -> list[int]:
 def cm_to_text(cm: CorrelationMatrix) -> str:
     """n lines of n space-separated bits."""
     return "\n".join(" ".join(str(bit) for bit in row) for row in cm)
-
-
-def cm_from_text(text: str) -> CorrelationMatrix:
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        row = [int(tok) for tok in line.split()]
-        if any(bit not in (0, 1) for bit in row):
-            raise ValueError("correlation matrix entries must be 0 or 1")
-        rows.append(row)
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise ValueError("correlation matrix must be square and non-empty")
-    return rows

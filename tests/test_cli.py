@@ -49,10 +49,27 @@ def test_run_subcommand_config_error_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("line", ["sim_duration = inf", "mining_interval = nan",
                                   "field_size = infx500"])
 def test_run_subcommand_non_finite_config_exit_2(tmp_path, capsys, line):
+    # The bad line replaces CONFIG's own line for that key, if it has one:
+    # a key may be set only once.
+    key = line.partition("=")[0].strip()
+    kept = [old for old in CONFIG.splitlines() if old.partition("=")[0].strip() != key]
     config = tmp_path / "bad.txt"
-    config.write_text(CONFIG + line + "\n")
+    config.write_text("\n".join(kept + [line]) + "\n")
     assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [
+    ("node_count = 9", "line 7: duplicate key 'node_count' (first on line 2)"),
+    ("seeds = 2,3", "line 7: duplicate key 'seeds' (first on line 6)"),
+])
+def test_run_subcommand_duplicate_key_exit_2(tmp_path, capsys, line, message):
+    config = tmp_path / "dup.txt"
+    config.write_text(CONFIG + line + "\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -1,7 +1,9 @@
+import csv
+
 import pytest
 
-from corrdisc.experiment import (ConfigError, ExperimentSpec, RunRow,
-                                 format_summary, parse_config, read_csv,
+from corrdisc.experiment import (METRIC_FIELDS, ConfigError, ExperimentSpec,
+                                 RunRow, format_summary, parse_config,
                                  run_experiment, rows_to_table, summarize,
                                  write_csv)
 from corrdisc.netsim import Metrics, SimConfig
@@ -40,6 +42,21 @@ def test_parse_unknown_key_names_line():
 def test_parse_bad_value_names_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("node_count = 4\nservice_count = ten\n")
+
+
+@pytest.mark.parametrize("key,first,again", [
+    ("node_count", "4", "9"), ("eta", "0.5", "0.5"), ("seeds", "1", "2,3"),
+    ("variants", "mining_on", "mining_off"), ("out", "a.csv", "b.csv"),
+])
+def test_parse_rejects_a_repeated_key(key, first, again):
+    # A repeated key is an error even when both values agree; the last one
+    # used to win silently.
+    required = "" if key == "node_count" else "node_count = 4\n"
+    text = f"{key} = {first}\n{required}service_count = 2\n# later\n{key} = {again}\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    last = len(text.splitlines())
+    assert str(info.value) == f"line {last}: duplicate key {key!r} (first on line 1)"
 
 
 def test_parse_comments_bools_field_size_and_out():
@@ -130,9 +147,14 @@ def test_csv_round_trip_exact(tmp_path):
     rows = run_experiment(spec)
     path = tmp_path / "rows.csv"
     write_csv(rows, str(path))
-    again = read_csv(str(path))
-    assert [(r.seed, r.variant, r.metrics) for r in again] == \
-        [(r.seed, r.variant, r.metrics) for r in rows]
+    with open(path, newline="") as fh:
+        records = list(csv.DictReader(fh))
+    again = [(int(rec["seed"]), rec["variant"],
+              Metrics(**{name: int(rec[name]) for name in METRIC_FIELDS}))
+             for rec in records]
+    assert again == [(r.seed, r.variant, r.metrics) for r in rows]
+    assert [rec["satisfaction_ratio"] for rec in records] == \
+        [f"{r.satisfaction_ratio:.4f}" for r in rows]
 
 
 def test_ratio_formatting():

@@ -324,3 +324,79 @@ def test_seen_memory_bounded():
         node.handle_sreq(Sreq(origin=1, seq=seq, session_seq=0, requested=3, ttl=0),
                          from_node=1, now=0.0)
     assert list(node._seen) == list(node._seen_order) == [(1, seq) for seq in range(6, 10)]
+
+
+# -- the in-place learn path against the table's own semantics ----------------
+
+SERVICES = st.integers(0, 5)
+PROVIDERS = st.integers(0, 3)
+REPLY = st.tuples(st.just("reply"), SERVICES, PROVIDERS,
+                  st.lists(st.tuples(SERVICES, PROVIDERS), max_size=3,
+                           unique_by=lambda record: record[0]),
+                  st.booleans())
+REQUEST = st.tuples(st.just("request"), SERVICES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(REPLY, REQUEST), max_size=40), st.integers(1, 4),
+       st.sets(SERVICES, max_size=2))
+def test_learning_matches_inserting_new_records(ops, capacity, hosted):
+    # Reference: every reply record is a new ServiceRecord put through
+    # ServiceTable.insert, unless it is hosted or a piggybacked copy of a
+    # direct record; a hit marks the record used.
+    node = make_node(nid=1, cache_capacity=capacity)
+    for service in sorted(hosted):
+        node.host_service(service)
+    table = ServiceTable(capacity)
+    evicted_unused = hits = predicted = 0
+    for step, op in enumerate(ops):
+        now = float(step)
+        if op[0] == "request":
+            service = op[1]
+            if service in hosted:
+                hits += 1
+            elif (record := table.get(service)) is not None:
+                hits += 1
+                predicted += record.piggybacked
+                record.used = True
+            node.issue_request(service, step, now)
+            continue
+        _, service, provider, related, to_me = op
+        related = tuple((s, p) for s, p in related if s != service)
+        for record in (ServiceRecord(service, provider, now),
+                       *(ServiceRecord(s, p, now, piggybacked=True) for s, p in related)):
+            current = table.get(record.service)
+            if record.service in hosted or (record.piggybacked and current is not None
+                                            and not current.piggybacked):
+                continue
+            evicted = table.insert(record)
+            if evicted is not None and evicted.piggybacked and not evicted.used:
+                evicted_unused += 1
+        srep = Srep(2, 1 if to_me else 3, (1, step), 8, (service, provider), related)
+        node.handle_srep(srep, from_node=2, now=now)
+        assert node.table.records() == table.records()
+    assert node.metrics.piggybacked_records_evicted_unused == evicted_unused
+    assert node.metrics.locally_satisfied == hits
+    assert node.metrics.prediction_hits == predicted
+
+
+def test_relayed_packets_are_real_packets():
+    # The loop tells an SREQ from an SREP by isinstance, so a relay that
+    # built a plain tuple would have it handled as a reply without error.
+    node = make_node(nid=2)
+    sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
+    ((_, forwarded),) = node.handle_sreq(sreq, from_node=1, now=1.0)
+    assert type(forwarded) is Sreq
+    assert forwarded == Sreq(1, 0, 0, 3, 7)
+
+    node.table.insert(rec(4, provider=5))
+    ((_, answer),) = node.handle_sreq(Sreq(1, 1, 0, 4, 8), from_node=1, now=2.0)
+    assert type(answer) is Srep
+    assert answer == Srep(responder=2, destination=1, in_reply_to=(1, 1), ttl=8,
+                          answer=(4, 5), related=())
+
+    srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
+                answer=(3, 5), related=((7, 6),))
+    ((_, relayed),) = node.handle_srep(srep, from_node=4, now=3.0)
+    assert type(relayed) is Srep
+    assert relayed == srep._replace(ttl=7)

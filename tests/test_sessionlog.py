@@ -100,15 +100,6 @@ def test_capacity_must_be_positive():
         LogDatabase(0)
 
 
-def test_dump_format():
-    db = LogDatabase(4)
-    db.record_request((3, 1), 7, now=0.0)
-    db.record_request((3, 1), 2, now=0.5)
-    db.close_stale_sessions(now=50.0, session_window=10.0)
-    db.record_request((4, 0), 1, now=51.0)
-    assert db.dump() == "3:1 closed=1 services=2,7\n4:0 closed=0 services=1"
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=20))
 def test_eviction_law(capacity, k):

@@ -3,8 +3,7 @@ from numpy.random import default_rng
 
 from corrdisc.netsim import SimConfig
 from corrdisc.workload import (build_correlation_matrix, build_schedule,
-                               candidate_set, cm_from_text, cm_to_text,
-                               consumer_ids, generate_session)
+                               candidate_set, consumer_ids, generate_session)
 
 
 class StubRng:
@@ -141,13 +140,3 @@ def test_consumer_fraction_rounding():
     assert consumer_ids(SimConfig(node_count=4, service_count=1)) == [0, 1, 2, 3]
 
 
-def test_cm_text_round_trip():
-    cm = build_correlation_matrix(5, default_rng(21))
-    assert cm_from_text(cm_to_text(cm)) == cm
-
-
-def test_cm_from_text_rejects_ragged_or_nonbinary():
-    with pytest.raises(ValueError):
-        cm_from_text("0 1\n1\n")
-    with pytest.raises(ValueError):
-        cm_from_text("0 2\n1 0\n")
