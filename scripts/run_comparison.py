@@ -16,12 +16,15 @@ from corrdisc.experiment import ExperimentSpec, run_experiment, write_csv, write
 from corrdisc.netsim import SimConfig
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=30, help="seeds per sweep")
     parser.add_argument("--jobs", type=int, default=2, help="parallel workers")
     parser.add_argument("--out-dir", default="results", help="output directory")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    for name in ("seeds", "jobs"):
+        if getattr(args, name) < 1:
+            parser.error(f"--{name} must be >= 1, got {getattr(args, name)}")
 
     os.makedirs(args.out_dir, exist_ok=True)
     for label, nodes in (("20nodes", 20), ("50nodes", 50)):

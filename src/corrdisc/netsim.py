@@ -9,12 +9,16 @@ delivery is due one fixed hop latency after the never-decreasing clock.
 The loop handles the two packet kinds apart: an SREQ broadcast visits its
 recipients in adjacency order, skipping those that have seen it, and an
 SREP, always a unicast, goes straight to its one recipient.
+A run makes no reference cycles, so ``Simulation.run`` pauses CPython's
+cyclic garbage collector while it loops: the collector would otherwise
+sweep the young objects dozens of times per run and find nothing to free.
 The root seed is split into placement / service-assignment / workload
 substreams, so the workload is the same when only ``mining_enabled`` differs.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 from collections import deque
@@ -244,8 +248,30 @@ class Simulation:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Metrics:
+        """Run to ``sim_duration``, with the cyclic collector paused; it is
+        switched back on afterwards only if it was on before."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._loop()
+        finally:
+            if collecting:
+                gc.enable()
+        # Whatever is still pending when the clock stops counts as failed.
+        for node in self.nodes:
+            node.fail_all_pending()
+        m = self.metrics
+        if m.requests_issued != m.locally_satisfied + m.requests_answered + m.requests_failed:
+            raise RuntimeError(
+                f"requests_issued {m.requests_issued} != locally_satisfied "
+                f"{m.locally_satisfied} + requests_answered {m.requests_answered} "
+                f"+ requests_failed {m.requests_failed}")
+        return m
+
+    def _loop(self) -> None:
         cfg = self.cfg
         heap, deliveries, nodes = self._heap, self._deliveries, self.nodes
+        seen = [node._seen for node in nodes]  # a node never rebinds its _seen
         end = (cfg.sim_duration, -1)  # sorts after every event due before the end
         tracing = self.trace is not None
         broadcast, unicast = self.deliver_broadcast, self.deliver_unicast
@@ -264,10 +290,11 @@ class Simulation:
                     for to in recipients:
                         if tracing:
                             self._trace(time, DELIVER, to, detail)
-                        node = nodes[to]
-                        if msg_id in node._seen:
+                        if msg_id in seen[to]:
                             continue
-                        for hop, out in Node.handle_sreq(node, packet, from_node, time):
+                        emission = Node.handle_sreq(nodes[to], packet, from_node, time)
+                        if emission is not None:
+                            hop, out = emission
                             if hop is None:
                                 broadcast(to, out, time)
                             else:
@@ -278,23 +305,24 @@ class Simulation:
                     (to,) = recipients
                     if tracing:
                         self._trace(time, DELIVER, to, detail)
-                    for hop, out in Node.handle_srep(nodes[to], packet, from_node, time):
-                        unicast(to, hop, out, time)
+                    emission = Node.handle_srep(nodes[to], packet, from_node, time)
+                    if emission is not None:
+                        unicast(to, emission[0], emission[1], time)
             if heap[0] >= end:
-                break
+                return
             time, _, kind, payload = heapq.heappop(heap)
             if kind == ISSUE:
                 consumer, service, session_seq = payload
-                emissions = nodes[consumer].issue_request(service, session_seq, time)
+                emission = nodes[consumer].issue_request(service, session_seq, time)
                 if tracing:
                     self._trace(time, ISSUE, consumer,
                                 f"svc={service} session={session_seq} "
-                                f"local={int(not emissions)}")
-                for _, sreq in emissions:
-                    broadcast(consumer, sreq, time)
+                                f"local={int(emission is None)}")
+                if emission is not None:
+                    broadcast(consumer, emission[1], time)
             elif kind == MINING_TICK:
                 (nid,) = payload
-                node = self.nodes[nid]
+                node = nodes[nid]
                 node.log.close_stale_sessions(time, cfg.session_window)
                 txns = node.remine(self._miner)
                 if tracing:
@@ -302,20 +330,17 @@ class Simulation:
                                 f"txns={txns} itemsets={len(node.itemsets)}")
                 self._push(time + cfg.mining_interval, MINING_TICK, (nid,))
             elif kind == SCAN:
+                # Closing sessions and expiring requests are no-ops on a node
+                # with none open or pending, so such nodes are skipped.
                 expired = 0
-                for node in self.nodes:
-                    node.log.close_stale_sessions(time, cfg.session_window)
-                    expired += node.expire_pending(time)
+                for node in nodes:
+                    if node.log._open:
+                        node.log.close_stale_sessions(time, cfg.session_window)
+                    if node._pending:
+                        expired += node.expire_pending(time)
                 if tracing:
                     self._trace(time, SCAN, "-", f"expired={expired}")
                 self._push(time + cfg.scan_interval, SCAN, ())
-        # Whatever is still pending when the clock stops counts as failed.
-        for node in self.nodes:
-            node.fail_all_pending()
-        m = self.metrics
-        assert m.requests_issued == (m.locally_satisfied + m.requests_answered
-                                     + m.requests_failed), m
-        return m
 
 
 def run(config: SimConfig, *, cm: CorrelationMatrix | None = None,

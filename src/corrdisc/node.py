@@ -3,9 +3,10 @@
 A node owns a bounded FIFO service table, the circular session log, the
 latest mined itemsets, duplicate-suppression and reverse-path memory for
 flooded requests, and the pending-request bookkeeping behind the
-locally-satisfied metric.  Handlers return the packets to send as
-``(next_hop, packet)`` pairs, ``next_hop=None`` meaning broadcast; the
-simulation layer does the actual delivery.
+locally-satisfied metric.  Each handler returns at most one packet to
+send, as one ``(next_hop, packet)`` pair (``next_hop=None`` meaning
+broadcast), or ``None`` when it sends nothing; the simulation layer does
+the actual delivery.
 
 Every node a reply passes learns its records (``Node._learn``).  A run
 relays replies hundreds of thousands of times, so each hop is kept cheap:
@@ -92,6 +93,7 @@ class Node:
         self._capacity = config.cache_capacity
         self._seen_capacity = config.seen_capacity
         self._initial_ttl = config.initial_ttl
+        self._log_overheard = config.log_overheard
         self.own_services: dict[int, ServiceRecord] = {}
         self.log = LogDatabase(config.log_capacity)
         self.itemsets: dict[frozenset[int], int] = {}
@@ -148,7 +150,7 @@ class Node:
 
     # -- protocol handlers --------------------------------------------------
 
-    def issue_request(self, service: int, session_seq: int, now: float) -> tuple[Emission, ...]:
+    def issue_request(self, service: int, session_seq: int, now: float) -> Emission | None:
         m = self.metrics
         m.requests_issued += 1
         self.log.record_request((self.nid, session_seq), service, now)
@@ -158,39 +160,43 @@ class Node:
             if record.piggybacked:
                 m.prediction_hits += 1
             record.used = True
-            return ()
+            return None
         seq = self._next_seq
         self._next_seq += 1
         sreq = Sreq(self.nid, seq, session_seq, service, self._initial_ttl)
         self._remember(sreq.msg_id, None)
         self._pending[sreq.msg_id] = (service, now)
         m.broadcasts_originated += 1
-        return ((None, sreq),)
+        return None, sreq
 
-    def handle_sreq(self, sreq: Sreq, from_node: int, now: float) -> tuple[Emission, ...]:
+    def handle_sreq(self, sreq: Sreq, from_node: int, now: float) -> Emission | None:
         origin, seq, session_seq, requested, ttl = sreq
         msg_id = (origin, seq)
-        if msg_id in self._seen:
+        seen = self._seen
+        if msg_id in seen:
             # Re-logging a duplicate would be a no-op (set semantics).
-            return ()
-        self._remember(msg_id, from_node)
-        if self.cfg.log_overheard:
+            return None
+        # _remember, inlined: this runs once per first copy of a flood.
+        if len(seen) >= self._seen_capacity:
+            del seen[self._seen_order.popleft()]
+        seen[msg_id] = from_node
+        self._seen_order.append(msg_id)
+        if self._log_overheard:
             self.log.record_request((origin, session_seq), requested, now)
         record = self.own_services.get(requested) or self._records.get(requested)
         if record is not None:
             record.used = True
-            related = self._pick_related(requested)
-            if related:
+            related = ()
+            if self.itemsets:
+                related = tuple(self._pick_related(requested))
                 self.metrics.piggybacked_records_sent += len(related)
-            srep = _new_packet(Srep, (self.nid, origin, msg_id, self._initial_ttl,
-                                      (requested, record.provider), tuple(related)))
-            return ((from_node, srep),)
+            return from_node, _new_packet(Srep, (self.nid, origin, msg_id, self._initial_ttl,
+                                                 (requested, record.provider), related))
         if ttl > 0:
-            return ((None, _new_packet(Sreq, (origin, seq, session_seq, requested,
-                                              ttl - 1))),)
-        return ()
+            return None, _new_packet(Sreq, (origin, seq, session_seq, requested, ttl - 1))
+        return None
 
-    def handle_srep(self, srep: Srep, from_node: int, now: float) -> tuple[Emission, ...]:
+    def handle_srep(self, srep: Srep, from_node: int, now: float) -> Emission | None:
         responder, destination, in_reply_to, ttl, answer, related = srep
         self._learn(answer[0], answer[1], now, False)
         for rel_service, rel_provider in related:
@@ -200,19 +206,18 @@ class Node:
             # nothing pending.
             if self._pending.pop(in_reply_to, None) is not None:
                 self.metrics.requests_answered += 1
-            return ()
+            return None
         upstream = self._seen.get(in_reply_to)
         if upstream is None or ttl <= 0:
             self.metrics.packets_dropped += 1
-            return ()
-        return ((upstream, _new_packet(Srep, (responder, destination, in_reply_to,
-                                              ttl - 1, answer, related))),)
+            return None
+        return upstream, _new_packet(Srep, (responder, destination, in_reply_to,
+                                            ttl - 1, answer, related))
 
     def _pick_related(self, service: int) -> list[tuple[int, int]]:
         """Related services the node can actually vouch for: mined as
-        co-frequent with ``service`` and present in its own knowledge."""
-        if not self.itemsets:
-            return []
+        co-frequent with ``service`` and present in its own knowledge.
+        Callers skip it while ``itemsets`` is empty."""
         picks = []
         for other in rank_related(service, self.itemsets):
             record = self.lookup(other)

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 from collections import Counter
@@ -8,6 +9,7 @@ from numpy.random import default_rng
 
 from corrdisc.netsim import (DELIVER, Metrics, SimConfig, Simulation,
                              assign_services, place_nodes, run)
+from corrdisc.node import Node
 from corrdisc.packets import Sreq
 
 SMALL = SimConfig(node_count=8, service_count=5, sessions_per_consumer=2,
@@ -93,6 +95,63 @@ def test_conservation_and_sanity_of_counters():
     assert metrics.requests_issued == (metrics.locally_satisfied
                                        + metrics.requests_answered
                                        + metrics.requests_failed)
+
+
+def test_broken_conservation_raises_even_under_optimisation(monkeypatch):
+    # A plain assert would vanish under ``python -O``; the check must not.
+    monkeypatch.setattr(Node, "fail_all_pending", lambda node: 0)
+    with pytest.raises(RuntimeError, match="requests_issued .* requests_failed"):
+        run(replace(SMALL, seed=2, sim_duration=21.0, pending_timeout=1000.0))
+
+
+@pytest.fixture
+def collector_on():
+    """Leave the cyclic collector on for the test, as it was found."""
+    was_on = gc.isenabled()
+    gc.enable()
+    yield
+    if not was_on:
+        gc.disable()
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_run_leaves_no_cyclic_garbage(traced, collector_on):
+    # The loop pauses the collector on the premise that a run makes no
+    # reference cycles; a run made with it off must leave none to collect.
+    gc.collect()
+    gc.disable()
+    for mining_enabled in (False, True):
+        cfg = replace(SMALL, seed=4, mining_enabled=mining_enabled)
+        metrics = run(cfg, trace=[] if traced else None)
+        assert metrics.requests_issued > 0
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collector_state(enabled, collector_on, monkeypatch):
+    if not enabled:
+        gc.disable()
+    seen = []
+    handle_sreq = Node.handle_sreq
+
+    def spy(node, sreq, from_node, now):
+        seen.append(gc.isenabled())
+        return handle_sreq(node, sreq, from_node, now)
+
+    monkeypatch.setattr(Node, "handle_sreq", spy)
+    run(replace(SMALL, seed=2))
+    assert seen and not any(seen)   # paused while the loop runs
+    assert gc.isenabled() is enabled
+
+
+def test_run_restores_the_collector_when_it_raises(monkeypatch, collector_on):
+    def boom(node, sreq, from_node, now):
+        raise ValueError("handler failed")
+
+    monkeypatch.setattr(Node, "handle_sreq", boom)
+    with pytest.raises(ValueError, match="handler failed"):
+        run(replace(SMALL, seed=2))
+    assert gc.isenabled()
 
 
 def test_event_times_non_decreasing_in_trace():

@@ -79,7 +79,7 @@ def test_issue_request_cached_service():
     node = make_node()
     node.table.insert(rec(3))
     out = node.issue_request(3, 0, now=1.0)
-    assert out == ()
+    assert out is None
     assert node.metrics.locally_satisfied == 1
     assert node.metrics.prediction_hits == 0
 
@@ -87,8 +87,7 @@ def test_issue_request_cached_service():
 def test_issue_request_miss_broadcasts_full_ttl():
     node = make_node()
     out = node.issue_request(3, 0, now=1.0)
-    assert len(out) == 1
-    to, sreq = out[0]
+    to, sreq = out
     assert to is None
     assert sreq == Sreq(origin=0, seq=0, session_seq=0, requested=3,
                         ttl=node.cfg.initial_ttl)
@@ -109,7 +108,7 @@ def test_issue_request_own_service_is_local():
     node = make_node()
     node.host_service(7)
     out = node.issue_request(7, 0, now=0.0)
-    assert out == ()
+    assert out is None
     assert node.metrics.locally_satisfied == 1
 
 
@@ -122,8 +121,7 @@ def test_handle_sreq_answers_with_related_from_table():
     node.itemsets = {fs(3, 7): 4}
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     out = node.handle_sreq(sreq, from_node=1, now=2.0)
-    assert len(out) == 1
-    to, srep = out[0]
+    to, srep = out
     assert to == 1
     assert srep.destination == 1
     assert srep.answer == (3, 5)
@@ -136,7 +134,7 @@ def test_handle_sreq_related_filtered_to_known_services():
     node.table.insert(rec(3, provider=5))
     node.itemsets = {fs(3, 9): 4}   # 9 is co-frequent but unknown here
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    ((_, srep),) = node.handle_sreq(sreq, from_node=1, now=2.0)
+    _, srep = node.handle_sreq(sreq, from_node=1, now=2.0)
     assert srep.related == ()
 
 
@@ -146,7 +144,7 @@ def test_handle_sreq_related_capped_and_ranked():
         node.table.insert(rec(service, provider=provider))
     node.itemsets = {fs(3, 6): 2, fs(3, 7): 5, fs(3, 8): 5}
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    ((_, srep),) = node.handle_sreq(sreq, from_node=1, now=2.0)
+    _, srep = node.handle_sreq(sreq, from_node=1, now=2.0)
     # Strongest support first, ties toward the lower id, capped at 2.
     assert srep.related == ((7, 1), (8, 1))
 
@@ -154,13 +152,13 @@ def test_handle_sreq_related_capped_and_ranked():
 def test_handle_sreq_ttl_exhausted():
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=0)
-    assert node.handle_sreq(sreq, from_node=1, now=2.0) == ()
+    assert node.handle_sreq(sreq, from_node=1, now=2.0) is None
 
 
 def test_handle_sreq_rebroadcast_decrements_ttl():
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    ((to, fwd),) = node.handle_sreq(sreq, from_node=1, now=2.0)
+    to, fwd = node.handle_sreq(sreq, from_node=1, now=2.0)
     assert to is None
     assert fwd.ttl == 7
     assert fwd.msg_id == sreq.msg_id
@@ -169,10 +167,10 @@ def test_handle_sreq_rebroadcast_decrements_ttl():
 def test_handle_sreq_duplicate_suppressed():
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    assert node.handle_sreq(sreq, from_node=1, now=2.0) != ()
-    assert node.handle_sreq(sreq, from_node=3, now=2.1) == ()
+    assert node.handle_sreq(sreq, from_node=1, now=2.0) is not None
+    assert node.handle_sreq(sreq, from_node=3, now=2.1) is None
     # Re-delivery with lower ttl is the same message: still suppressed.
-    assert node.handle_sreq(Sreq(1, 0, 0, 3, 5), from_node=3, now=2.2) == ()
+    assert node.handle_sreq(Sreq(1, 0, 0, 3, 5), from_node=3, now=2.2) is None
 
 
 def test_handle_sreq_logs_overheard_request():
@@ -197,7 +195,7 @@ def test_handle_srep_destined_insert_order_answer_first():
     node._pending[(1, 0)] = (3, 0.0)
     srep = Srep(responder=2, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6), (9, 6)))
-    assert node.handle_srep(srep, from_node=2, now=3.0) == ()
+    assert node.handle_srep(srep, from_node=2, now=3.0) is None
     assert [r.service for r in node.table.records()] == [3, 7, 9]
     assert [r.piggybacked for r in node.table.records()] == [False, True, True]
     assert node._pending == {}
@@ -205,14 +203,14 @@ def test_handle_srep_destined_insert_order_answer_first():
 
 def test_only_the_first_reply_answers_a_request():
     node = make_node(nid=1)
-    ((_, sreq),) = node.issue_request(3, 0, now=0.0)
+    _, sreq = node.issue_request(3, 0, now=0.0)
     for responder in (2, 4):
         srep = Srep(responder=responder, destination=1, in_reply_to=sreq.msg_id,
                     ttl=8, answer=(3, 5))
-        assert node.handle_srep(srep, from_node=responder, now=1.0) == ()
+        assert node.handle_srep(srep, from_node=responder, now=1.0) is None
     assert node.metrics.requests_answered == 1
     # A reply that arrives after the request timed out answers nothing.
-    ((_, late),) = node.issue_request(6, 0, now=2.0)
+    _, late = node.issue_request(6, 0, now=2.0)
     assert node.expire_pending(now=10.0) == 1
     node.handle_srep(Srep(2, 1, late.msg_id, 8, answer=(6, 5)), from_node=2, now=11.0)
     assert node.metrics.requests_answered == 1
@@ -226,7 +224,7 @@ def test_handle_srep_transit_forwards_and_caches():
                      from_node=3, now=1.0)
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6),))
-    ((to, fwd),) = node.handle_srep(srep, from_node=4, now=2.0)
+    to, fwd = node.handle_srep(srep, from_node=4, now=2.0)
     assert to == 3
     assert fwd.ttl == 7
     assert [r.service for r in node.table.records()] == [3, 7]
@@ -236,7 +234,7 @@ def test_handle_srep_unknown_reverse_path_dropped():
     node = make_node(nid=2)
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 99), ttl=8,
                 answer=(3, 5))
-    assert node.handle_srep(srep, from_node=4, now=2.0) == ()
+    assert node.handle_srep(srep, from_node=4, now=2.0) is None
     assert node.metrics.packets_dropped == 1
     # The records are still cached (pseudo-broadcast stores on transit too).
     assert 3 in node.table
@@ -314,7 +312,7 @@ def test_baseline_related_always_empty():
     # Without mined itemsets every reply has an empty related list.
     node = make_node(nid=2)
     node.table.insert(rec(3, provider=5))
-    ((_, srep),) = node.handle_sreq(Sreq(1, 0, 0, 3, 8), from_node=1, now=1.0)
+    _, srep = node.handle_sreq(Sreq(1, 0, 0, 3, 8), from_node=1, now=1.0)
     assert srep.related == ()
 
 
@@ -385,18 +383,18 @@ def test_relayed_packets_are_real_packets():
     # built a plain tuple would have it handled as a reply without error.
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    ((_, forwarded),) = node.handle_sreq(sreq, from_node=1, now=1.0)
+    _, forwarded = node.handle_sreq(sreq, from_node=1, now=1.0)
     assert type(forwarded) is Sreq
     assert forwarded == Sreq(1, 0, 0, 3, 7)
 
     node.table.insert(rec(4, provider=5))
-    ((_, answer),) = node.handle_sreq(Sreq(1, 1, 0, 4, 8), from_node=1, now=2.0)
+    _, answer = node.handle_sreq(Sreq(1, 1, 0, 4, 8), from_node=1, now=2.0)
     assert type(answer) is Srep
     assert answer == Srep(responder=2, destination=1, in_reply_to=(1, 1), ttl=8,
                           answer=(4, 5), related=())
 
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6),))
-    ((_, relayed),) = node.handle_srep(srep, from_node=4, now=3.0)
+    _, relayed = node.handle_srep(srep, from_node=4, now=3.0)
     assert type(relayed) is Srep
     assert relayed == srep._replace(ttl=7)
