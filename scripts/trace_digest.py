@@ -3,6 +3,7 @@
 to the engine leaves each run the same.
 
     python3 scripts/trace_digest.py > digest.jsonl
+    python3 scripts/trace_digest.py --check digest.jsonl
 
 Runs the benchmark's flood50 and mine_heavy configs (taken from
 ``perfbench/run.py``) and the 20-node default config at root seeds 0, 3
@@ -11,11 +12,14 @@ once untraced, and fails if the two disagree on ``Metrics``.  Prints one
 JSON line per run: the config name, seed, variant, the trace's sha256 (of
 its lines joined by newlines, as the golden tests hash it), its line count
 and the metrics.  Two checkouts behave the same on these runs when their
-outputs are identical.
+outputs are identical.  With ``--check FILE`` it prints no digests but
+compares each run's with the line saved in FILE, names every run that
+differs (or that only one side has) and exits 1 if any does.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -50,13 +54,54 @@ def digest(config: SimConfig) -> dict:
             "metrics": asdict(metrics)}
 
 
-def main() -> int:
+def load(path: str) -> dict[tuple, dict]:
+    """Saved digest lines keyed by (config, seed, variant)."""
+    saved = {}
+    with open(path) as fh:
+        for lineno, text in enumerate(fh, start=1):
+            if not text.strip():
+                continue
+            try:
+                entry = json.loads(text)
+                saved[(entry["config"], entry["seed"], entry["variant"])] = entry
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"line {lineno}: not a digest line ({exc!r})") from None
+    return saved
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the digests saved in FILE instead of printing")
+    args = parser.parse_args(argv)
+    saved = None
+    if args.check:
+        try:
+            saved = load(args.check)
+        except (OSError, ValueError) as exc:
+            print(f"error: {args.check}: {exc}", file=sys.stderr)
+            return 2
+    runs = differing = 0
     for name, base in configs().items():
         for seed in SEEDS:
             for variant in VARIANTS:
                 config = replace(base, seed=seed, mining_enabled=(variant == "mining_on"))
-                print(json.dumps({"config": name, "seed": seed, "variant": variant,
-                                  **digest(config)}), flush=True)
+                line = {"config": name, "seed": seed, "variant": variant, **digest(config)}
+                runs += 1
+                if saved is None:
+                    print(json.dumps(line), flush=True)
+                elif saved.pop((name, seed, variant), None) != line:
+                    differing += 1
+                    print(f"differs: {name} seed={seed} {variant}", flush=True)
+    if saved is None:
+        return 0
+    for name, seed, variant in saved:
+        differing += 1
+        print(f"differs: {name} seed={seed} {variant} (saved, not run)")
+    if differing:
+        print(f"{differing} runs differ from {args.check}")
+        return 1
+    print(f"all {runs} runs match {args.check}")
     return 0
 
 

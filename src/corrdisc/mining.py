@@ -52,30 +52,36 @@ def mine_frequent_itemsets(transactions: Sequence[Transaction],
     # Bit t of an item's mask is set when transaction t holds the item, so
     # the support of an itemset is the popcount of its members' AND.
     masks: dict[ServiceId, int] = {}
-    for t, items in enumerate(transactions):
-        bit = 1 << t
+    bit = 1
+    for items in transactions:
         for item in items:
             masks[item] = masks.get(item, 0) | bit
-    frequent = [(item, mask) for item, mask in sorted(masks.items())
-                if mask.bit_count() >= threshold]
+        bit <<= 1
+    frequent = []
+    for item, mask in sorted(masks.items()):
+        count = mask.bit_count()
+        if count >= threshold:
+            frequent.append((item, mask, count))
     out: ItemsetCounts = {}
     _extend(frozenset(), frequent, threshold, out)
     return out
 
 
-def _extend(prefix: frozenset[ServiceId], tail: list[tuple[ServiceId, int]],
+def _extend(prefix: frozenset[ServiceId], tail: list[tuple[ServiceId, int, int]],
             threshold: int, out: ItemsetCounts) -> None:
     """Record ``prefix`` plus each item of ``tail`` (already frequent with
-    it), then grow each such itemset with the later items of ``tail`` only,
-    so every itemset is reached exactly once."""
-    for i, (item, mask) in enumerate(tail):
+    it; each entry is item, mask, popcount), then grow each such itemset
+    with the later items of ``tail`` only, so every itemset is reached
+    exactly once and every popcount is taken once."""
+    for i, (item, mask, count) in enumerate(tail, 1):
         itemset = prefix | {item}
-        out[itemset] = mask.bit_count()
+        out[itemset] = count
         later = []
-        for other, other_mask in tail[i + 1:]:
+        for other, other_mask, _ in tail[i:]:
             joint = mask & other_mask
-            if joint.bit_count() >= threshold:
-                later.append((other, joint))
+            joint_count = joint.bit_count()
+            if joint_count >= threshold:
+                later.append((other, joint, joint_count))
         if later:
             _extend(itemset, later, threshold, out)
 

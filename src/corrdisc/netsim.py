@@ -9,6 +9,9 @@ delivery is due one fixed hop latency after the never-decreasing clock.
 The loop handles the two packet kinds apart: an SREQ broadcast visits its
 recipients in adjacency order, skipping those that have seen it, and an
 SREP, always a unicast, goes straight to its one recipient.
+One ``MINING_TICK`` timer per interval mines every node in id order, so
+the heap holds one tick, not one per node.  SCAN and the tick close a
+node's stale sessions only when its oldest open session is due.
 A run makes no reference cycles, so ``Simulation.run`` pauses CPython's
 cyclic garbage collector while it loops: the collector would otherwise
 sweep the young objects dozens of times per run and find nothing to free.
@@ -29,7 +32,7 @@ from numpy.random import SeedSequence, default_rng
 
 from .mining import mine_frequent_itemsets
 from .node import Node
-from .packets import Sreq, Srep
+from .packets import ID_LIMIT, MAX_RELATED_RECORDS, Sreq, Srep
 from .workload import CorrelationMatrix, build_correlation_matrix, build_schedule
 
 # Trace names of the events; the timer kinds also tag heap entries.
@@ -89,8 +92,16 @@ class SimConfig:
             raise ValueError(f"support must be in (0, 1], got {self.support}")
         if not 0.0 <= self.consumer_fraction <= 1.0:
             raise ValueError(f"consumer_fraction must be in [0, 1], got {self.consumer_fraction}")
+        # Packets must stay encodable: a one-byte ttl, two-byte node and
+        # service ids, and at most MAX_RELATED_RECORDS piggybacked records.
         if not 0 <= self.initial_ttl <= 255:
             raise ValueError(f"initial_ttl must be in [0, 255], got {self.initial_ttl}")
+        for name in ("node_count", "service_count"):
+            if getattr(self, name) > ID_LIMIT:
+                raise ValueError(f"{name} must be at most {ID_LIMIT}, got {getattr(self, name)}")
+        if self.max_related > MAX_RELATED_RECORDS:
+            raise ValueError(f"max_related must be at most {MAX_RELATED_RECORDS}, "
+                             f"got {self.max_related}")
         for name in ("sim_duration", "seed"):  # SeedSequence needs a seed >= 0
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -193,8 +204,7 @@ class Simulation:
                            ISSUE, (spec.consumer, service, spec.session_seq))
         self._push(config.scan_interval, SCAN, ())
         if config.mining_enabled:
-            for node in self.nodes:
-                self._push(config.mining_interval, MINING_TICK, (node.nid,))
+            self._push(config.mining_interval, MINING_TICK, ())
 
     # -- event plumbing ----------------------------------------------------
 
@@ -208,7 +218,9 @@ class Simulation:
         # Kept because `perfbench/test_perfbench.py` asserts that each distinct
         # snapshot is mined once.  Since `Node.remine` skips logs whose closed
         # sessions did not change, few snapshots repeat (`perfbench/run.py
-        # --trace 1`: cache_hit_ratio 0.17 on mine_heavy, 0.00 on flood50).
+        # --trace 1`: cache_hit_ratio 0.17 on mine_heavy, 0.00 on flood50).  A
+        # key holds the frozensets the logs store, not copies, so building
+        # and hashing it reuses each set's cached hash.
         key = tuple(transactions)
         cached = self._mine_cache.get(key)
         if cached is None:
@@ -272,6 +284,7 @@ class Simulation:
         cfg = self.cfg
         heap, deliveries, nodes = self._heap, self._deliveries, self.nodes
         seen = [node._seen for node in nodes]  # a node never rebinds its _seen
+        window, miner = cfg.session_window, self._miner
         end = (cfg.sim_duration, -1)  # sorts after every event due before the end
         tracing = self.trace is not None
         broadcast, unicast = self.deliver_broadcast, self.deliver_unicast
@@ -321,21 +334,26 @@ class Simulation:
                 if emission is not None:
                     broadcast(consumer, emission[1], time)
             elif kind == MINING_TICK:
-                (nid,) = payload
-                node = nodes[nid]
-                node.log.close_stale_sessions(time, cfg.session_window)
-                txns = node.remine(self._miner)
-                if tracing:
-                    self._trace(time, MINING_TICK, nid,
-                                f"txns={txns} itemsets={len(node.itemsets)}")
-                self._push(time + cfg.mining_interval, MINING_TICK, (nid,))
+                # A log is closed first only if its oldest open session is
+                # due, by the inclusive test of close_stale_sessions, which
+                # closes nothing otherwise.
+                for node in nodes:
+                    log = node.log
+                    if log._open and time - next(iter(log._open.values())).opened_at >= window:
+                        log.close_stale_sessions(time, window)
+                    txns = node.remine(miner)
+                    if tracing:
+                        self._trace(time, MINING_TICK, node.nid,
+                                    f"txns={txns} itemsets={len(node.itemsets)}")
+                self._push(time + cfg.mining_interval, MINING_TICK, ())
             elif kind == SCAN:
                 # Closing sessions and expiring requests are no-ops on a node
-                # with none open or pending, so such nodes are skipped.
+                # with none due or pending, so such nodes are skipped.
                 expired = 0
                 for node in nodes:
-                    if node.log._open:
-                        node.log.close_stale_sessions(time, cfg.session_window)
+                    log = node.log
+                    if log._open and time - next(iter(log._open.values())).opened_at >= window:
+                        log.close_stale_sessions(time, window)
                     if node._pending:
                         expired += node.expire_pending(time)
                 if tracing:

@@ -32,6 +32,7 @@ SREQ_SIZE = _SREQ.size            # 14
 SREP_HEADER_SIZE = _SREP_HEADER.size  # 13
 RECORD_SIZE = _RECORD.size        # 4
 MAX_RELATED_RECORDS = 32
+ID_LIMIT = 1 << 16               # node and service ids are two-byte fields
 
 
 class PacketError(ValueError):

@@ -3,7 +3,9 @@
 Each record collects the set of services one consumer requested during a
 single session; the log is bounded and evicts its oldest record first.
 Only closed records feed the mining stage, so a half-observed session
-cannot produce spurious itemsets.
+cannot produce spurious itemsets.  Closing a record freezes its service
+set, so every snapshot of the log hands the miner the same frozenset
+objects for a closed session, and their hashes are computed once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ class SessionRecord:
     consumer: int
     session_seq: int
     opened_at: float
-    services: set[int] = field(default_factory=set)
+    services: set[int] | frozenset[int] = field(default_factory=set)  # frozen on close
     closed: bool = False
 
     @property
@@ -56,6 +58,7 @@ class LogDatabase:
         return tuple(self._records)
 
     def _close(self, record: SessionRecord) -> None:
+        record.services = frozenset(record.services)
         record.closed = True
         del self._open[record.consumer]
         self.closed_version += 1
@@ -94,5 +97,6 @@ class LogDatabase:
             self._close(record)
 
     def snapshot_transactions(self) -> list[frozenset[int]]:
-        """Service sets of all closed records, oldest first.  Pure read."""
-        return [frozenset(r.services) for r in self._records if r.closed]
+        """Service sets of all closed records, oldest first: the frozensets
+        stored at closing, not copies.  Pure read."""
+        return [r.services for r in self._records if r.closed]

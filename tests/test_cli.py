@@ -142,6 +142,23 @@ def test_run_subcommand_negative_seed_exit_2(tmp_path, capsys, line):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("max_related = 40", "max_related must be at most 32"),
+    ("node_count = 70000", "node_count must be at most 65536"),
+    ("service_count = 65537", "service_count must be at most 65536"),
+])
+def test_run_subcommand_unencodable_config_exit_2(tmp_path, capsys, line, message):
+    # Packets carry two-byte node and service ids and at most 32 related
+    # records, so such a config is refused before anything runs.
+    key = line.partition("=")[0].strip()
+    kept = [old for old in CONFIG.splitlines() if old.partition("=")[0].strip() != key]
+    config = tmp_path / "bad.txt"
+    config.write_text("\n".join(kept + [line]) + "\n")
+    assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_gen_cm_rejects_negative_seed(capsys):
     assert main(["gen-cm", "3", "-1"]) == 2
     captured = capsys.readouterr()

@@ -7,10 +7,10 @@ from dataclasses import fields, replace
 import pytest
 from numpy.random import default_rng
 
-from corrdisc.netsim import (DELIVER, Metrics, SimConfig, Simulation,
+from corrdisc.netsim import (DELIVER, MINING_TICK, Metrics, SimConfig, Simulation,
                              assign_services, place_nodes, run)
 from corrdisc.node import Node
-from corrdisc.packets import Sreq
+from corrdisc.packets import MAX_RELATED_RECORDS, Sreq
 
 SMALL = SimConfig(node_count=8, service_count=5, sessions_per_consumer=2,
                   sim_duration=150.0)
@@ -307,6 +307,55 @@ def test_one_delivery_event_per_transmission():
     assert first[:2] < second[:2]
 
 
+@pytest.mark.parametrize("mining_enabled", [True, False])
+def test_heap_holds_at_most_one_mining_tick(monkeypatch, mining_enabled):
+    pushed = []
+    original = Simulation._push
+
+    def checked_push(self, time, kind, payload):
+        original(self, time, kind, payload)
+        pushed.append(kind)
+        assert sum(entry[2] == MINING_TICK for entry in self._heap) <= 1
+
+    monkeypatch.setattr(Simulation, "_push", checked_push)
+    cfg = replace(SMALL, seed=2, mining_interval=3.0, mining_enabled=mining_enabled)
+    Simulation(cfg).run()
+    # Ticks at 3, 6, ..., 147 each push the next; the first came from setup.
+    assert pushed.count(MINING_TICK) == (50 if mining_enabled else 0)
+
+
+def test_each_mining_tick_visits_every_node_in_id_order():
+    cfg = replace(SMALL, seed=5, mining_interval=4.0, log_overheard=True, support=0.3)
+    trace: list = []
+    run(cfg, trace=trace)
+    ticks: dict[str, list[tuple[int, int]]] = {}
+    for index, line in enumerate(trace):
+        time, kind, node, _ = line.split(" ", 3)
+        if kind == MINING_TICK:
+            ticks.setdefault(time, []).append((index, int(node)))
+    assert list(ticks) == [f"{4.0 * k:.3f}" for k in range(1, 38)]
+    for lines in ticks.values():
+        indices, nodes = zip(*lines)
+        assert nodes == tuple(range(cfg.node_count))
+        assert indices == tuple(range(indices[0], indices[0] + cfg.node_count))
+    assert any(" txns=0 " not in trace[i] for lines in ticks.values() for i, _ in lines)
+
+
+@pytest.mark.parametrize("timer", ["scan", "tick"])
+@pytest.mark.parametrize("end, closed", [(2.5, False), (3.5, True)])
+def test_session_due_exactly_at_a_timer_is_closed_by_it(timer, end, closed):
+    # No consumers, so the only session is the one planted below: opened at
+    # 0.0, due at 3.0, which is a timer time.  The other timer never runs.
+    cfg = replace(SMALL, consumer_fraction=0.0, session_window=3.0, sim_duration=end,
+                  scan_interval=1.0 if timer == "scan" else 100.0,
+                  mining_enabled=(timer == "tick"), mining_interval=1.0)
+    sim = Simulation(cfg)
+    sim.nodes[0].log.record_request((99, 0), 1, now=0.0)
+    sim.run()
+    (record,) = sim.nodes[0].log.records
+    assert record.closed is closed
+
+
 FLOAT_FIELDS = ("field_size", "radio_range", "eta", "support", "session_window",
                 "mining_interval", "sim_duration", "hop_latency", "inter_request_gap",
                 "inter_session_gap", "consumer_fraction", "pending_timeout",
@@ -337,3 +386,18 @@ def test_config_validation():
         run(replace(SMALL, sim_duration=-1.0))
     with pytest.raises(ValueError, match="seed must be >= 0"):
         run(replace(SMALL, seed=-2))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"max_related": MAX_RELATED_RECORDS + 1}, "max_related must be at most 32"),
+    ({"node_count": 65537}, "node_count must be at most 65536"),
+    ({"service_count": 65537}, "service_count must be at most 65536"),
+])
+def test_config_rejects_values_packets_cannot_carry(change, message):
+    with pytest.raises(ValueError, match=message):
+        replace(SMALL, **change).validate()
+
+
+def test_config_accepts_the_largest_encodable_values():
+    replace(SMALL, max_related=MAX_RELATED_RECORDS, node_count=65536,
+            service_count=65536, initial_ttl=255).validate()

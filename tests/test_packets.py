@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrdisc.packets import (MAX_RELATED_RECORDS, RECORD_SIZE, SREP_HEADER_SIZE,
+from corrdisc.packets import (ID_LIMIT, MAX_RELATED_RECORDS, RECORD_SIZE, SREP_HEADER_SIZE,
                               SREP_TYPE, SREQ_SIZE, PacketError, Sreq, Srep,
                               decode_packet, encode_packet)
 
@@ -160,3 +160,17 @@ def test_decode_rejects_or_round_trips(data):
     except PacketError:
         return
     assert encode_packet(packet) == data
+
+
+def test_id_limit_is_the_first_id_the_wire_cannot_carry():
+    # SimConfig.validate bounds node_count and service_count by ID_LIMIT.
+    top = ID_LIMIT - 1
+    sreq = Sreq(origin=top, seq=0, session_seq=0, requested=top, ttl=0)
+    srep = Srep(responder=top, destination=top, in_reply_to=(top, 0), ttl=0,
+                answer=(top, top))
+    assert decode_packet(encode_packet(sreq)) == sreq
+    assert decode_packet(encode_packet(srep)) == srep
+    for bad in (sreq._replace(origin=ID_LIMIT), sreq._replace(requested=ID_LIMIT),
+                srep._replace(answer=(ID_LIMIT, 0)), srep._replace(answer=(0, ID_LIMIT))):
+        with pytest.raises(PacketError):
+            encode_packet(bad)

@@ -172,3 +172,54 @@ def test_close_stale_matches_full_scan(capacity, window, ops):
             [(r.key, r.services, r.closed) for r in full.records]
         assert list(fast._open) == list(full._open)
         assert fast.closed_version == full.closed_version
+
+
+def test_closing_freezes_the_service_set():
+    db = LogDatabase(4)
+    db.record_request((1, 0), 5, now=0.0)
+    db.record_request((1, 0), 7, now=1.0)
+    (record,) = db.records
+    assert type(record.services) is set
+    db.close_stale_sessions(now=50.0, session_window=10.0)
+    assert type(record.services) is frozenset
+    assert record.services == {5, 7}
+
+
+def test_snapshot_hands_out_the_stored_sets_while_unchanged():
+    db = LogDatabase(4)
+    db.record_request((1, 0), 1, now=0.0)
+    db.record_request((2, 0), 2, now=1.0)
+    db.close_stale_sessions(now=50.0, session_window=10.0)
+    db.record_request((3, 0), 3, now=51.0)    # an open session: no new version
+    version, first = db.closed_version, db.snapshot_transactions()
+    second = db.snapshot_transactions()
+    assert db.closed_version == version
+    assert len(first) == len(second) == 2
+    assert all(a is b for a, b in zip(first, second))
+    assert all(t is r.services for t, r in zip(first, db.records))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5),
+       st.lists(st.tuples(st.sampled_from((0.0, 0.5, 1.0)), st.integers(0, 3),
+                          st.integers(0, 2), st.integers(0, 4), st.booleans()),
+                max_size=40))
+def test_snapshot_matches_rebuilt_frozensets(capacity, ops):
+    # Reference: the snapshot as it was built before closing froze the sets,
+    # one fresh frozenset per closed record.  A closed record's set must
+    # also never change, so each is compared with its value at closing.
+    db = LogDatabase(capacity)
+    at_close: dict[int, tuple] = {}    # id -> (record, its set when first seen closed)
+    now = 0.0
+    for step, consumer, seq, service, scan in ops:
+        now += step
+        if scan:
+            db.close_stale_sessions(now, 1.0)
+        else:
+            db.record_request((consumer, seq), service, now)
+        snapshot = db.snapshot_transactions()
+        closed = [r for r in db.records if r.closed]
+        assert snapshot == [frozenset(r.services) for r in closed]
+        assert all(type(t) is frozenset and t is r.services for t, r in zip(snapshot, closed))
+        for r in closed:    # holding r keeps its id from being reused
+            assert at_close.setdefault(id(r), (r, frozenset(r.services)))[1] == r.services
