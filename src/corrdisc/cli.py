@@ -43,12 +43,12 @@ def _cmd_run(args) -> int:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             spec = parse_config(fh.read())
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 2
     out = args.out or spec.output or "results.csv"
@@ -69,7 +69,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_mine(args) -> int:
     try:
-        with open(args.transactions) as fh:
+        with open(args.transactions, encoding="utf-8") as fh:
             transactions = parse_transactions_text(fh.read())
     except OSError as exc:
         print(f"error: cannot read transactions: {exc}", file=sys.stderr)

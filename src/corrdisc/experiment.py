@@ -173,7 +173,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1,
               for seed in sorted(set(spec.seeds))
               for variant in sorted(set(spec.variants))]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(combos))) as pool:
             rows = list(pool.map(_run_one, combos))
     else:
         rows = [_run_one(combo) for combo in combos]

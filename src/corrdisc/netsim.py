@@ -9,9 +9,9 @@ delivery is due one fixed hop latency after the never-decreasing clock.
 The loop handles the two packet kinds apart: an SREQ broadcast visits its
 recipients in adjacency order, skipping those that have seen it, and an
 SREP, always a unicast, goes straight to its one recipient.
-One ``MINING_TICK`` timer per interval mines every node in id order, so
-the heap holds one tick, not one per node.  SCAN and the tick close a
-node's stale sessions only when its oldest open session is due.
+A timer's heap entry carries the plain function that runs it, so the loop
+compares no event kind.  One mining tick per interval mines every node in
+id order; SCAN and the tick first close each node's due sessions.
 A run makes no reference cycles, so ``Simulation.run`` pauses CPython's
 cyclic garbage collector while it loops: the collector would otherwise
 sweep the young objects dozens of times per run and find nothing to free.
@@ -35,7 +35,7 @@ from .node import Node
 from .packets import ID_LIMIT, MAX_RELATED_RECORDS, Sreq, Srep
 from .workload import CorrelationMatrix, build_correlation_matrix, build_schedule
 
-# Trace names of the events; the timer kinds also tag heap entries.
+# Trace names of the events.
 DELIVER = "deliver"
 ISSUE = "issue_request"
 MINING_TICK = "mining_tick"
@@ -184,8 +184,12 @@ class Simulation:
         self.topology = place_nodes(config, default_rng(placement_seq))
         self.placement = assign_services(config, default_rng(services_seq))
         workload_rng = default_rng(workload_seq)
-        self.cm = cm if cm is not None else build_correlation_matrix(
-            config.service_count, workload_rng)
+        n = config.service_count
+        if cm is not None and (len(cm) != n or any(
+                len(row) != n or not set(row) <= {0, 1} for row in cm)):
+            raise ValueError(f"cm must be {n}x{n} with 0/1 cells, got {len(cm)} rows "
+                             f"of lengths {sorted({len(row) for row in cm})}")
+        self.cm = cm if cm is not None else build_correlation_matrix(n, workload_rng)
         self.schedule = build_schedule(config, self.cm, workload_rng)
         self.metrics = Metrics()
         self.nodes = [Node(i, config, self.metrics) for i in range(config.node_count)]
@@ -201,15 +205,16 @@ class Simulation:
         for spec in self.schedule:
             for idx, service in enumerate(sorted(spec.services)):
                 self._push(spec.start_time + idx * spec.inter_request_gap,
-                           ISSUE, (spec.consumer, service, spec.session_seq))
-        self._push(config.scan_interval, SCAN, ())
+                           Simulation._issue, (spec.consumer, service, spec.session_seq))
+        self._push(config.scan_interval, Simulation._scan, ())
         if config.mining_enabled:
-            self._push(config.mining_interval, MINING_TICK, ())
+            self._push(config.mining_interval, Simulation._mining_tick, ())
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: float, kind: str, payload: tuple) -> None:
-        heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
+    def _push(self, time: float, fire, payload: tuple) -> None:
+        # A bound method here would make a Simulation -> heap -> Simulation cycle.
+        heapq.heappush(self._heap, (time, next(self._seq), fire, payload))
 
     def _trace(self, time: float, kind: str, node: int | str, detail: str) -> None:
         self.trace.append(f"{time:.3f} {kind} {node} {detail}")
@@ -230,32 +235,25 @@ class Simulation:
 
     # -- delivery ------------------------------------------------------------
 
-    def deliver_broadcast(self, from_node: int, packet: Sreq | Srep, now: float) -> None:
-        """Count and trace one broadcast; one event delivers it to every
-        neighbour, in adjacency order."""
-        if isinstance(packet, Sreq):
-            self.metrics.sreq_transmissions += 1
-        else:
-            self.metrics.srep_transmissions += 1
+    def deliver_broadcast(self, from_node: int, sreq: Sreq, now: float) -> None:
+        """Count and trace one SREQ broadcast; one event delivers it to
+        every neighbour, in adjacency order."""
+        self.metrics.sreq_transmissions += 1
         if self.trace is not None:
-            self._trace(now, "tx_bcast", from_node, _packet_detail(packet))
+            self._trace(now, "tx_bcast", from_node, _packet_detail(sreq))
         self._deliveries.append((now + self._hop_latency, next(self._seq),
-                                 self.topology.adjacency[from_node], from_node, packet))
+                                 self.topology.adjacency[from_node], from_node, sreq))
 
-    def deliver_unicast(self, from_node: int, to: int, packet: Sreq | Srep,
-                        now: float) -> None:
-        """Count and trace one unicast to a neighbour; drop it otherwise."""
+    def deliver_unicast(self, from_node: int, to: int, srep: Srep, now: float) -> None:
+        """Count and trace one SREP unicast to a neighbour; drop it otherwise."""
         if to not in self._neighbors[from_node]:
             self.metrics.packets_dropped += 1
             return
-        if isinstance(packet, Sreq):
-            self.metrics.sreq_transmissions += 1
-        else:
-            self.metrics.srep_transmissions += 1
+        self.metrics.srep_transmissions += 1
         if self.trace is not None:
-            self._trace(now, "tx_ucast", from_node, f"to={to} " + _packet_detail(packet))
+            self._trace(now, "tx_ucast", from_node, f"to={to} " + _packet_detail(srep))
         self._deliveries.append((now + self._hop_latency, next(self._seq),
-                                 (to,), from_node, packet))
+                                 (to,), from_node, srep))
 
     # -- main loop -----------------------------------------------------------
 
@@ -281,16 +279,14 @@ class Simulation:
         return m
 
     def _loop(self) -> None:
-        cfg = self.cfg
         heap, deliveries, nodes = self._heap, self._deliveries, self.nodes
         seen = [node._seen for node in nodes]  # a node never rebinds its _seen
-        window, miner = cfg.session_window, self._miner
-        end = (cfg.sim_duration, -1)  # sorts after every event due before the end
+        end = (self.cfg.sim_duration, -1)  # sorts after every event due before the end
         tracing = self.trace is not None
         broadcast, unicast = self.deliver_broadcast, self.deliver_unicast
         while True:
             # Run the deliveries that sort before the timer at the heap's head
-            # (never empty: SCAN reschedules itself), then that timer.
+            # (never empty: SCAN reschedules itself), then that timer's function.
             # SREQ recipients go in adjacency order; one that has seen the
             # request already is skipped (its deliver line still shows).
             limit = min(heap[0], end)
@@ -323,42 +319,47 @@ class Simulation:
                         unicast(to, emission[0], emission[1], time)
             if heap[0] >= end:
                 return
-            time, _, kind, payload = heapq.heappop(heap)
-            if kind == ISSUE:
-                consumer, service, session_seq = payload
-                emission = nodes[consumer].issue_request(service, session_seq, time)
-                if tracing:
-                    self._trace(time, ISSUE, consumer,
-                                f"svc={service} session={session_seq} "
-                                f"local={int(emission is None)}")
-                if emission is not None:
-                    broadcast(consumer, emission[1], time)
-            elif kind == MINING_TICK:
-                # A log is closed first only if its oldest open session is
-                # due, by the inclusive test of close_stale_sessions, which
-                # closes nothing otherwise.
-                for node in nodes:
-                    log = node.log
-                    if log._open and time - next(iter(log._open.values())).opened_at >= window:
-                        log.close_stale_sessions(time, window)
-                    txns = node.remine(miner)
-                    if tracing:
-                        self._trace(time, MINING_TICK, node.nid,
-                                    f"txns={txns} itemsets={len(node.itemsets)}")
-                self._push(time + cfg.mining_interval, MINING_TICK, ())
-            elif kind == SCAN:
-                # Closing sessions and expiring requests are no-ops on a node
-                # with none due or pending, so such nodes are skipped.
-                expired = 0
-                for node in nodes:
-                    log = node.log
-                    if log._open and time - next(iter(log._open.values())).opened_at >= window:
-                        log.close_stale_sessions(time, window)
-                    if node._pending:
-                        expired += node.expire_pending(time)
-                if tracing:
-                    self._trace(time, SCAN, "-", f"expired={expired}")
-                self._push(time + cfg.scan_interval, SCAN, ())
+            time, _, fire, payload = heapq.heappop(heap)
+            fire(self, time, *payload)
+
+    # -- timers: each is fire(self, time, *payload) and pushes its successor last
+
+    def _issue(self, time: float, consumer: int, service: int, session_seq: int) -> None:
+        emission = self.nodes[consumer].issue_request(service, session_seq, time)
+        if self.trace is not None:
+            self._trace(time, ISSUE, consumer,
+                        f"svc={service} session={session_seq} local={int(emission is None)}")
+        if emission is not None:
+            self.deliver_broadcast(consumer, emission[1], time)
+
+    def _close_due_sessions(self, time: float) -> None:
+        """Close the stale sessions of each node whose oldest open one is due,
+        by the inclusive test of close_stale_sessions (a no-op otherwise)."""
+        window = self.cfg.session_window
+        for node in self.nodes:
+            log = node.log
+            if log._open and time - next(iter(log._open.values())).opened_at >= window:
+                log.close_stale_sessions(time, window)
+
+    def _scan(self, time: float) -> None:
+        self._close_due_sessions(time)
+        expired = 0
+        for node in self.nodes:
+            if node._pending:
+                expired += node.expire_pending(time)
+        if self.trace is not None:
+            self._trace(time, SCAN, "-", f"expired={expired}")
+        self._push(time + self.cfg.scan_interval, Simulation._scan, ())
+
+    def _mining_tick(self, time: float) -> None:
+        self._close_due_sessions(time)
+        miner, tracing = self._miner, self.trace is not None
+        for node in self.nodes:
+            txns = node.remine(miner)
+            if tracing:
+                self._trace(time, MINING_TICK, node.nid,
+                            f"txns={txns} itemsets={len(node.itemsets)}")
+        self._push(time + self.cfg.mining_interval, Simulation._mining_tick, ())
 
 
 def run(config: SimConfig, *, cm: CorrelationMatrix | None = None,

@@ -247,8 +247,6 @@ class Node:
 
     def expire_pending(self, now: float) -> int:
         """Fail every pending request older than the timeout; returns count."""
-        if not self._pending:
-            return 0
         timeout = self.cfg.pending_timeout
         expired = [mid for mid, (_, issued) in self._pending.items()
                    if now - issued >= timeout]

@@ -89,6 +89,24 @@ def test_run_subcommand_missing_file_exit_1(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    ("run", "node_count = 5\nservice_count = 4\n# caf\xe9\n"),
+    ("mine", "1 2\n# caf\xe9\n"),
+])
+def test_input_that_is_not_utf8_exit_2(tmp_path, capsys, command, text):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(text.encode("latin-1"))
+    args = [command, str(path)] + (["0.5"] if command == "mine" else
+                                   ["--out", str(tmp_path / "r.csv")])
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "utf-8" in err
+    assert not (tmp_path / "r.csv").exists()
+    # The same text in UTF-8 is read whatever the locale.
+    path.write_bytes(text.encode("utf-8"))
+    assert main(args) == 0
+
+
 def test_run_subcommand_unwritable_out_exit_1(tmp_path, capsys):
     config = tmp_path / "exp.txt"
     config.write_text(CONFIG)

@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from corrdisc import experiment
 from corrdisc.experiment import (METRIC_FIELDS, ConfigError, ExperimentSpec,
                                  RunRow, format_summary, parse_config,
                                  run_experiment, rows_to_table, summarize,
@@ -123,6 +124,34 @@ def test_run_experiment_runs_each_variant_once():
 def test_run_experiment_parallel_matches_serial():
     spec = ExperimentSpec(base=SMALL, seeds=(0, 1))
     assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
+
+
+def test_run_experiment_starts_no_more_workers_than_runs(monkeypatch):
+    # The pool would fork all max_workers at the first submit, so it is
+    # never asked for more workers than there are runs.  A serial fake
+    # stands in for it: this test must start no process.
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+    spec = ExperimentSpec(base=SMALL, seeds=(0,))
+    rows = run_experiment(spec, jobs=5000)
+    assert asked == [2]
+    assert rows == run_experiment(spec, jobs=1)
+    run_experiment(ExperimentSpec(base=SMALL, seeds=(0, 1)), jobs=3)
+    assert asked == [2, 3]
 
 
 @pytest.mark.parametrize("jobs", [0, -3])

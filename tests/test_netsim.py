@@ -10,7 +10,7 @@ from numpy.random import default_rng
 from corrdisc.netsim import (DELIVER, MINING_TICK, Metrics, SimConfig, Simulation,
                              assign_services, place_nodes, run)
 from corrdisc.node import Node
-from corrdisc.packets import MAX_RELATED_RECORDS, Sreq
+from corrdisc.packets import MAX_RELATED_RECORDS, Sreq, Srep
 
 SMALL = SimConfig(node_count=8, service_count=5, sessions_per_consumer=2,
                   sim_duration=150.0)
@@ -201,9 +201,9 @@ def test_unicast_to_non_neighbor_dropped():
             break
     assert isolated_pair is not None
     i, j = isolated_pair
-    sim.deliver_unicast(i, j, Sreq(0, 0, 0, 1, 1), now=0.0)
+    sim.deliver_unicast(i, j, Srep(1, 0, (0, 0), 8, (1, 1), ()), now=0.0)
     assert sim.metrics.packets_dropped == 1
-    assert sim.metrics.sreq_transmissions == 0
+    assert sim.metrics.srep_transmissions == 0
     assert not sim._deliveries
 
 
@@ -212,6 +212,16 @@ def test_injected_correlation_matrix_is_used():
     sim = Simulation(replace(SMALL, eta=1.0), cm=cm)
     assert sim.cm == cm
     assert all(spec.services == {spec.seed_service} for spec in sim.schedule)
+
+
+@pytest.mark.parametrize("cm, shape", [
+    ([[0] * 6 for _ in range(6)], r"got 6 rows of lengths \[6\]"),
+    ([[0] * 5, [0] * 5, [0] * 4, [0] * 5, [0] * 5], r"got 5 rows of lengths \[4, 5\]"),
+    ([[0] * 5 for _ in range(4)] + [[0, 0, 2, 0, 0]], r"got 5 rows of lengths \[5\]"),
+])
+def test_injected_correlation_matrix_must_fit_the_services(cm, shape):
+    with pytest.raises(ValueError, match=r"cm must be 5x5 with 0/1 cells, " + shape):
+        Simulation(SMALL, cm=cm)
 
 
 def test_paired_workload_identical_across_variants():
@@ -297,14 +307,40 @@ def test_one_delivery_event_per_transmission():
     neighbor = sim.topology.adjacency[sender][0]
     timers = list(sim._heap)
     sreq = Sreq(sender, 0, 0, 1, 1)
+    srep = Srep(sender, neighbor, (neighbor, 0), 8, (1, sender), ())
     sim.deliver_broadcast(sender, sreq, now=0.0)
-    sim.deliver_unicast(sender, neighbor, sreq, now=0.0)
+    sim.deliver_unicast(sender, neighbor, srep, now=0.0)
     assert sim._heap == timers   # deliveries never enter the timer heap
     # A delivery is (time, seq, recipients, from_node, packet).
     assert [e[2:] for e in sim._deliveries] == [
-        (sim.topology.adjacency[sender], sender, sreq), ((neighbor,), sender, sreq)]
+        (sim.topology.adjacency[sender], sender, sreq), ((neighbor,), sender, srep)]
     first, second = sim._deliveries
     assert first[:2] < second[:2]
+
+
+def test_broadcasts_are_requests_and_unicasts_are_replies():
+    cfg = replace(SMALL, seed=2, log_overheard=True, support=0.3)
+    trace: list = []
+    metrics = run(cfg, trace=trace)
+    sends = Counter()
+    for line in trace:
+        _, kind, _, detail = line.split(" ", 3)
+        if kind == "tx_bcast":
+            assert detail.startswith("sreq "), line
+        elif kind == "tx_ucast":
+            assert detail.split(" ", 2)[1] == "srep", line
+        sends[kind] += 1
+    assert sends["tx_bcast"] == metrics.sreq_transmissions > 0
+    assert sends["tx_ucast"] == metrics.srep_transmissions > 0
+    assert metrics.piggybacked_records_sent > 0
+
+
+def test_heap_entries_carry_the_timer_functions():
+    timers = {Simulation._issue, Simulation._scan, Simulation._mining_tick}
+    sim = Simulation(SMALL)
+    assert {entry[2] for entry in sim._heap} == timers
+    sim.run()
+    assert {entry[2] for entry in sim._heap} <= timers
 
 
 @pytest.mark.parametrize("mining_enabled", [True, False])
@@ -312,16 +348,16 @@ def test_heap_holds_at_most_one_mining_tick(monkeypatch, mining_enabled):
     pushed = []
     original = Simulation._push
 
-    def checked_push(self, time, kind, payload):
-        original(self, time, kind, payload)
-        pushed.append(kind)
-        assert sum(entry[2] == MINING_TICK for entry in self._heap) <= 1
+    def checked_push(self, time, fire, payload):
+        original(self, time, fire, payload)
+        pushed.append(fire)
+        assert sum(entry[2] is Simulation._mining_tick for entry in self._heap) <= 1
 
     monkeypatch.setattr(Simulation, "_push", checked_push)
     cfg = replace(SMALL, seed=2, mining_interval=3.0, mining_enabled=mining_enabled)
     Simulation(cfg).run()
     # Ticks at 3, 6, ..., 147 each push the next; the first came from setup.
-    assert pushed.count(MINING_TICK) == (50 if mining_enabled else 0)
+    assert pushed.count(Simulation._mining_tick) == (50 if mining_enabled else 0)
 
 
 def test_each_mining_tick_visits_every_node_in_id_order():

@@ -72,3 +72,11 @@ def test_check_rejects_an_unreadable_file(monkeypatch, capsys, tmp_path):
     assert trace_digest.main(["--check", str(tmp_path / "missing.jsonl")]) == 2
     err = capsys.readouterr().err
     assert "line 1: not a digest line" in err and "missing.jsonl" in err
+
+
+def test_engine_reproduces_the_saved_trace_digests(capsys):
+    # Every trace and every Metrics of the 18 digest runs must match the
+    # saved file.  A change that alters them on purpose regenerates it
+    # with `python3 scripts/trace_digest.py > tests/data/trace_digest.jsonl`.
+    saved = Path(__file__).resolve().parent / "data" / "trace_digest.jsonl"
+    assert load_script().main(["--check", str(saved)]) == 0, capsys.readouterr().out
