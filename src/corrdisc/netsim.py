@@ -105,6 +105,15 @@ class SimConfig:
         for name in ("sim_duration", "seed"):  # SeedSequence needs a seed >= 0
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # A session's last request may come (service_count - 1) gaps after
+        # its first.  If the consumer's next session has opened by then, the
+        # log closes and reopens the two keys in turn, one session in pieces.
+        if (self.sessions_per_consumer > 1 and (self.service_count - 1)
+                * self.inter_request_gap >= self.inter_session_gap):
+            raise ValueError(
+                f"sessions overlap: (service_count - 1) * inter_request_gap = "
+                f"{(self.service_count - 1) * self.inter_request_gap} must be less "
+                f"than inter_session_gap = {self.inter_session_gap}")
 
 
 @dataclass
@@ -137,21 +146,27 @@ class Topology:
 
 
 def place_nodes(config: SimConfig, rng) -> Topology:
-    """Uniform placement over the field plus unit-disk adjacency."""
+    """Uniform placement over the field plus unit-disk adjacency.
+
+    One ``rng.random(2 * n)`` call draws x0, y0, x1, y1, ...: the stream of
+    two scalar draws per node, x first.
+    """
     width, height = config.field_size
-    positions = {i: (rng.random() * width, rng.random() * height)
-                 for i in range(config.node_count)}
+    n = config.node_count
+    draws = rng.random(2 * n).tolist()
+    xs = [u * width for u in draws[0::2]]
+    ys = [u * height for u in draws[1::2]]
     limit_sq = config.radio_range ** 2
-    neighbors: dict[int, list[int]] = {i: [] for i in positions}
-    for i in range(config.node_count):
-        xi, yi = positions[i]
-        for j in range(i + 1, config.node_count):
-            xj, yj = positions[j]
-            if (xi - xj) ** 2 + (yi - yj) ** 2 <= limit_sq:
-                neighbors[i].append(j)
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        xi, yi, near = xs[i], ys[i], neighbors[i]
+        for j in range(i + 1, n):
+            if (xi - xs[j]) ** 2 + (yi - ys[j]) ** 2 <= limit_sq:
+                near.append(j)
                 neighbors[j].append(i)
-    adjacency = {i: tuple(sorted(ns)) for i, ns in neighbors.items()}
-    return Topology(positions, adjacency)
+    # Each list is ascending: lower ids were appended before higher ones.
+    adjacency = {i: tuple(near) for i, near in enumerate(neighbors)}
+    return Topology(dict(enumerate(zip(xs, ys))), adjacency)
 
 
 def assign_services(config: SimConfig, rng) -> dict[int, int]:
@@ -202,10 +217,17 @@ class Simulation:
         self._seq = count()
         self._neighbors = [frozenset(ns) for ns in self.topology.adjacency.values()]
         self._mine_cache: dict[tuple, dict] = {}
+        # Every request timer is known now: append them in schedule order and
+        # heapify once.  (time, seq) keys are unique, so the pop order is the
+        # one a push per request would give.
+        heap, seq, issue = self._heap, self._seq, Simulation._issue
         for spec in self.schedule:
+            start, gap, consumer, session_seq = (spec.start_time, spec.inter_request_gap,
+                                                 spec.consumer, spec.session_seq)
             for idx, service in enumerate(sorted(spec.services)):
-                self._push(spec.start_time + idx * spec.inter_request_gap,
-                           Simulation._issue, (spec.consumer, service, spec.session_seq))
+                heap.append((start + idx * gap, next(seq), issue,
+                             (consumer, service, session_seq)))
+        heapq.heapify(heap)
         self._push(config.scan_interval, Simulation._scan, ())
         if config.mining_enabled:
             self._push(config.mining_interval, Simulation._mining_tick, ())

@@ -97,6 +97,9 @@ class Node:
         self.own_services: dict[int, ServiceRecord] = {}
         self.log = LogDatabase(config.log_capacity)
         self.itemsets: dict[frozenset[int], int] = {}
+        # service -> rank_related(service, itemsets), filled on first use and
+        # emptied whenever remine replaces itemsets.
+        self._ranked: dict[int, list[int]] = {}
         # (log.closed_version, transaction count) that `itemsets` was mined
         # from; an empty log at version 0 mines to nothing.
         self._mined_from = (0, 0)
@@ -217,9 +220,13 @@ class Node:
     def _pick_related(self, service: int) -> list[tuple[int, int]]:
         """Related services the node can actually vouch for: mined as
         co-frequent with ``service`` and present in its own knowledge.
-        Callers skip it while ``itemsets`` is empty."""
+        Callers skip it while ``itemsets`` is empty.  The ranking is read
+        from ``_ranked``, computed once per service and mined snapshot."""
+        ranked = self._ranked.get(service)
+        if ranked is None:
+            ranked = self._ranked[service] = rank_related(service, self.itemsets)
         picks = []
-        for other in rank_related(service, self.itemsets):
+        for other in ranked:
             record = self.lookup(other)
             if record is not None:
                 picks.append((other, record.provider))
@@ -242,6 +249,7 @@ class Node:
             self.itemsets = miner(transactions)
         else:
             self.itemsets = {}
+        self._ranked = {}
         self._mined_from = (self.log.closed_version, len(transactions))
         return len(transactions)
 

@@ -9,10 +9,11 @@ draw is retried; after 100 attempts the session falls back to {s}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .netsim import SimConfig
 
 CorrelationMatrix = list[list[int]]
@@ -20,8 +21,7 @@ CorrelationMatrix = list[list[int]]
 EMPTY_SESSION_RETRIES = 100
 
 
-@dataclass(frozen=True, slots=True)
-class SessionSpec:
+class SessionSpec(NamedTuple):
     consumer: int
     session_seq: int
     seed_service: int
@@ -33,12 +33,13 @@ class SessionSpec:
 def build_correlation_matrix(n: int, rng) -> CorrelationMatrix:
     """n x n bit matrix; bit (i, j) is 1 iff the uniform draw was >= 0.5.
 
-    Draws row-major (i outer, j inner), one call to ``rng.random()`` per
-    cell, so a given generator state always yields the same matrix.
+    Draws all n * n cells in one ``rng.random((n, n))`` call, row-major
+    (i outer, j inner): the same stream as one scalar draw per cell, so a
+    given generator state always yields the same matrix.
     """
     if n < 1:
         raise ValueError(f"need at least one service, got n={n}")
-    return [[1 if rng.random() >= 0.5 else 0 for _ in range(n)] for _ in range(n)]
+    return [[1 if u >= 0.5 else 0 for u in row] for row in rng.random((n, n)).tolist()]
 
 
 def candidate_set(seed_service: int, cm: CorrelationMatrix) -> set[int]:
@@ -50,16 +51,17 @@ def candidate_set(seed_service: int, cm: CorrelationMatrix) -> set[int]:
     return {i for i in range(n) if i == seed_service or cm[i][seed_service] == 1}
 
 
-def generate_session(seed_service: int, candidates: set[int], eta: float,
+def generate_session(seed_service: int, candidates: Iterable[int], eta: float,
                      rng) -> set[int]:
     """Probabilistic session: keep each candidate i with p_i < eta, draws in
-    ascending id order.  Resamples an empty result, bounded at
-    ``EMPTY_SESSION_RETRIES`` attempts, then falls back to the seed alone."""
+    ascending id order, one ``rng.random(k)`` call per attempt.  Resamples
+    an empty result, bounded at ``EMPTY_SESSION_RETRIES`` attempts, then
+    falls back to the seed alone."""
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     order = sorted(candidates)
     for _ in range(EMPTY_SESSION_RETRIES):
-        session = {i for i in order if rng.random() < eta}
+        session = {i for i, u in zip(order, rng.random(len(order)).tolist()) if u < eta}
         if session:
             return session
     return {seed_service}
@@ -70,18 +72,24 @@ def build_schedule(config: "SimConfig", cm: CorrelationMatrix, rng) -> list[Sess
 
     Consumer k starts its sessions at k * (inter_session_gap / consumers)
     so session closings trickle in instead of arriving in lockstep; within
-    a consumer, sessions are inter_session_gap apart.
+    a consumer, sessions are inter_session_gap apart.  Each seed service's
+    candidate column is read once per schedule.
     """
     consumers = consumer_ids(config)
     specs: list[SessionSpec] = []
     if not consumers:
         return specs
     stagger = config.inter_session_gap / len(consumers)
+    columns: dict[int, list[int]] = {}
     for k, consumer in enumerate(consumers):
         for j in range(config.sessions_per_consumer):
+            # Scalar on purpose: integers(size=k) packs two 32-bit draws
+            # into each 64-bit word, which would change the stream.
             seed_service = int(rng.integers(config.service_count))
-            services = generate_session(
-                seed_service, candidate_set(seed_service, cm), config.eta, rng)
+            column = columns.get(seed_service)
+            if column is None:
+                column = columns[seed_service] = sorted(candidate_set(seed_service, cm))
+            services = generate_session(seed_service, column, config.eta, rng)
             specs.append(SessionSpec(
                 consumer=consumer,
                 session_seq=j,

@@ -177,6 +177,17 @@ def test_run_subcommand_unencodable_config_exit_2(tmp_path, capsys, line, messag
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_run_subcommand_overlapping_sessions_exit_2(tmp_path, capsys):
+    # 4 services 30 s apart: a session's last request (90 s) comes after the
+    # consumer's next session opens (60 s).
+    config = tmp_path / "overlap.txt"
+    config.write_text(CONFIG.replace("service_count = 5", "service_count = 4")
+                      + "inter_request_gap = 30\n")
+    assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
+    assert "sessions overlap" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_gen_cm_rejects_negative_seed(capsys):
     assert main(["gen-cm", "3", "-1"]) == 2
     captured = capsys.readouterr()

@@ -435,5 +435,51 @@ def test_config_rejects_values_packets_cannot_carry(change, message):
 
 
 def test_config_accepts_the_largest_encodable_values():
+    # One session per consumer: 65536 requests a second apart would overrun
+    # the next session's start (see test_config_rejects_overlapping_sessions).
     replace(SMALL, max_related=MAX_RELATED_RECORDS, node_count=65536,
-            service_count=65536, initial_ttl=255).validate()
+            service_count=65536, initial_ttl=255, sessions_per_consumer=1).validate()
+
+
+OVERLAPPING = SimConfig(node_count=8, service_count=10, inter_request_gap=20.0,
+                        session_window=500.0, sessions_per_consumer=3, eta=1.0,
+                        log_capacity=20, seed=1)
+
+
+def test_config_rejects_overlapping_sessions():
+    # Unchecked, this config logged node 0's three sessions as the six keys
+    # (0,0), (0,1), (0,0), (0,1), (0,0), (0,2): each session's late requests
+    # reopened its key after the next session had opened.
+    with pytest.raises(ValueError, match="sessions overlap"):
+        OVERLAPPING.validate()
+    with pytest.raises(ValueError, match="sessions overlap"):
+        Simulation(OVERLAPPING)
+
+
+@pytest.mark.parametrize("change, ok", [
+    ({"inter_session_gap": 180.0}, False),   # the last request lands on the next start
+    ({"inter_session_gap": 180.5}, True),
+    ({"inter_request_gap": 6.6}, True),      # 9 * 6.6 = 59.4 < 60
+    ({"inter_request_gap": 60 / 9}, False),
+    ({"sessions_per_consumer": 1}, True),    # no next session to overlap
+])
+def test_overlap_rule_boundary(change, ok):
+    cfg = replace(OVERLAPPING, **change)
+    if ok:
+        sim = Simulation(cfg)
+        sim.run()
+        for node in sim.nodes:
+            keys = [record.key for record in node.log.records]
+            assert len(keys) == len(set(keys))
+    else:
+        with pytest.raises(ValueError, match="sessions overlap"):
+            cfg.validate()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    dict(node_count=50, sessions_per_consumer=4),
+    dict(node_count=12, service_count=16, sessions_per_consumer=3),
+])
+def test_default_and_benchmark_configs_do_not_overlap(overrides):
+    replace(SimConfig(node_count=20, service_count=10), **overrides).validate()

@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrdisc.mining import mine_frequent_itemsets, rank_related
 from corrdisc.netsim import Metrics, SimConfig
 from corrdisc.node import Node, ServiceRecord, ServiceTable
 from corrdisc.packets import Sreq, Srep
@@ -306,6 +307,74 @@ def test_remine_skips_the_miner_while_closed_sessions_are_unchanged():
     node.log.close_stale_sessions(now=200.0, session_window=1.0)
     assert node.remine(miner) == 4
     assert len(calls) == 2 and node.itemsets == {fs(1): 4}
+
+
+def fresh_picks(node, service):
+    """_pick_related as it reads without the memo."""
+    picks = []
+    for other in rank_related(service, node.itemsets):
+        record = node.lookup(other)
+        if record is not None:
+            picks.append((other, record.provider))
+            if len(picks) == node.cfg.max_related:
+                break
+    return picks
+
+
+sessions = st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5),
+                    min_size=3, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=sessions, later=sessions, known=st.sets(st.integers(0, 7)),
+       requests=st.lists(st.integers(0, 7), max_size=16),
+       support=st.sampled_from([0.2, 0.3, 0.5, 0.8]), max_related=st.integers(1, 4))
+def test_memoized_picks_equal_fresh_ranking_across_remines(first, later, known, requests,
+                                                            support, max_related):
+    node = make_node(nid=2, max_related=max_related, cache_capacity=16, log_capacity=48,
+                     log_overheard=True)
+    for service in known:
+        node.table.insert(rec(service, provider=20 + service))
+    miner = lambda txns: mine_frequent_itemsets(txns, support)
+    now = 0.0
+    for batch, origin in ((first, 5), (later, 6)):
+        for seq, services in enumerate(batch):
+            for service in services:
+                node.log.record_request((origin, seq), service, now)
+            now += 1.0
+        node.log.close_stale_sessions(now=now + 100.0, session_window=1.0)
+        node.remine(miner)
+        assert node._ranked == {}   # a re-mine drops every memoized ranking
+        for service in requests + requests:
+            assert node._pick_related(service) == fresh_picks(node, service)
+            assert node._ranked[service] == rank_related(service, node.itemsets)
+
+
+def test_pick_related_ranks_each_service_once_per_mine(monkeypatch):
+    calls = []
+
+    def counted(service, itemsets):
+        calls.append(service)
+        return rank_related(service, itemsets)
+
+    monkeypatch.setattr("corrdisc.node.rank_related", counted)
+    node = make_node(nid=2, log_overheard=True)
+    node.table.insert(rec(3, provider=5))
+    node.table.insert(rec(7, provider=6))
+    for seq in range(3):
+        node.log.record_request((5, seq), 3, now=float(seq))
+        node.log.record_request((5, seq), 7, now=float(seq))
+    node.log.close_stale_sessions(now=100.0, session_window=1.0)
+    node.remine(lambda txns: mine_frequent_itemsets(txns, 0.5))
+    for seq in range(3):
+        _, srep = node.handle_sreq(Sreq(1, seq, 0, 3, 8), from_node=1, now=101.0)
+        assert srep.related == ((7, 6),)
+    assert calls == [3]
+    node.log.record_request((5, 3), 3, now=102.0)
+    node.log.close_stale_sessions(now=200.0, session_window=1.0)
+    node.remine(lambda txns: {fs(3, 7): 1, fs(3): 4, fs(7): 3})
+    node.handle_sreq(Sreq(1, 9, 0, 3, 8), from_node=1, now=201.0)
+    assert calls == [3, 3]
 
 
 def test_baseline_related_always_empty():

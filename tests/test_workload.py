@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from numpy.random import default_rng
 
@@ -7,13 +8,17 @@ from corrdisc.workload import (build_correlation_matrix, build_schedule,
 
 
 class StubRng:
-    """Feeds a fixed cycle of uniform draws."""
+    """Feeds a fixed cycle of uniform draws, one at a time or, given
+    ``size``, as an array filled row-major from the same cycle."""
 
     def __init__(self, values):
         self.values = list(values)
         self.i = 0
 
-    def random(self):
+    def random(self, size=None):
+        if size is not None:
+            draws = [self.random() for _ in range(int(np.prod(size)))]
+            return np.array(draws, dtype=float).reshape(size)
         v = self.values[self.i % len(self.values)]
         self.i += 1
         return v
