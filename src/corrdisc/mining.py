@@ -115,15 +115,16 @@ def rank_related(service: ServiceId,
                  itemsets: Mapping[frozenset[ServiceId], int]) -> list[ServiceId]:
     """Related services ordered by strongest supporting itemset.
 
-    Ties break toward the lower service id.
+    Ties break toward the lower service id.  Only the pairs are read:
+    ``itemsets`` must be downward closed with true supports, as every
+    output of ``mine_frequent_itemsets`` is, so the strongest itemset
+    holding ``service`` and another service is the pair of the two.
     """
     best: dict[ServiceId, int] = {}
     for items, count in itemsets.items():
-        if service not in items:
-            continue
-        for other in items:
-            if other != service and count > best.get(other, -1):
-                best[other] = count
+        if len(items) == 2 and service in items:
+            first, second = items
+            best[second if first == service else first] = count
     return sorted(best, key=lambda b: (-best[b], b))
 
 

@@ -10,8 +10,10 @@ The loop handles the two packet kinds apart: an SREQ broadcast visits its
 recipients in adjacency order, skipping those that have seen it, and an
 SREP, always a unicast, goes straight to its one recipient.
 A timer's heap entry carries the plain function that runs it, so the loop
-compares no event kind.  One mining tick per interval mines every node in
-id order; SCAN and the tick first close each node's due sessions.
+compares no event kind.  One mining tick per interval visits every node in
+id order and re-mines those whose closed sessions changed; SCAN and the
+tick first close each node's due sessions, skipping the pass while none
+can be due.
 A run makes no reference cycles, so ``Simulation.run`` pauses CPython's
 cyclic garbage collector while it loops: the collector would otherwise
 sweep the young objects dozens of times per run and find nothing to free.
@@ -114,6 +116,14 @@ class SimConfig:
                 f"sessions overlap: (service_count - 1) * inter_request_gap = "
                 f"{(self.service_count - 1) * self.inter_request_gap} must be less "
                 f"than inter_session_gap = {self.inter_session_gap}")
+        # A session open for session_window is closed by the next scan or
+        # tick; a later request of the same session would open a second
+        # record under its key, one session in pieces.
+        if (self.service_count - 1) * self.inter_request_gap >= self.session_window:
+            raise ValueError(
+                f"sessions outlast the window: (service_count - 1) * inter_request_gap = "
+                f"{(self.service_count - 1) * self.inter_request_gap} must be less "
+                f"than session_window = {self.session_window}")
 
 
 @dataclass
@@ -217,6 +227,8 @@ class Simulation:
         self._seq = count()
         self._neighbors = [frozenset(ns) for ns in self.topology.adjacency.values()]
         self._mine_cache: dict[tuple, dict] = {}
+        # No bound yet, so the first close pass runs (see _close_due_sessions).
+        self._oldest_open = -math.inf
         # Every request timer is known now: append them in schedule order and
         # heapify once.  (time, seq) keys are unique, so the pop order is the
         # one a push per request would give.
@@ -356,12 +368,30 @@ class Simulation:
 
     def _close_due_sessions(self, time: float) -> None:
         """Close the stale sessions of each node whose oldest open one is due,
-        by the inclusive test of close_stale_sessions (a no-op otherwise)."""
+        by the inclusive test of close_stale_sessions (a no-op otherwise).
+
+        The pass is skipped while ``time - _oldest_open < session_window``.
+        ``_oldest_open`` is the earliest ``opened_at`` left open by the last
+        pass, or that pass's time if none was: sessions opened since then
+        have ``opened_at`` at or after it, and closes and evictions only
+        remove sessions.  Float subtraction is monotone in the subtrahend,
+        so no open session is due while the test holds."""
         window = self.cfg.session_window
+        if time - self._oldest_open < window:
+            return
+        oldest = time
         for node in self.nodes:
-            log = node.log
-            if log._open and time - next(iter(log._open.values())).opened_at >= window:
-                log.close_stale_sessions(time, window)
+            open_ = node.log._open
+            if open_:
+                opened_at = next(iter(open_.values())).opened_at
+                if time - opened_at >= window:
+                    node.log.close_stale_sessions(time, window)
+                    if not open_:
+                        continue
+                    opened_at = next(iter(open_.values())).opened_at
+                if opened_at < oldest:
+                    oldest = opened_at
+        self._oldest_open = oldest
 
     def _scan(self, time: float) -> None:
         self._close_due_sessions(time)
@@ -377,10 +407,12 @@ class Simulation:
         self._close_due_sessions(time)
         miner, tracing = self._miner, self.trace is not None
         for node in self.nodes:
-            txns = node.remine(miner)
+            # Only a log whose closed sessions changed needs remine.
+            if node.log.closed_version != node._mined_from[0]:
+                node.remine(miner)
             if tracing:
                 self._trace(time, MINING_TICK, node.nid,
-                            f"txns={txns} itemsets={len(node.itemsets)}")
+                            f"txns={node._mined_from[1]} itemsets={len(node.itemsets)}")
         self._push(time + self.cfg.mining_interval, Simulation._mining_tick, ())
 
 

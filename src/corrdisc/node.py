@@ -93,7 +93,10 @@ class Node:
         self._capacity = config.cache_capacity
         self._seen_capacity = config.seen_capacity
         self._initial_ttl = config.initial_ttl
-        self._log_overheard = config.log_overheard
+        # The session log feeds only the miner, so without mining a node
+        # logs nothing, neither its own requests nor overheard ones.
+        self._log_requests = config.mining_enabled
+        self._log_overheard = config.log_overheard and config.mining_enabled
         self.own_services: dict[int, ServiceRecord] = {}
         self.log = LogDatabase(config.log_capacity)
         self.itemsets: dict[frozenset[int], int] = {}
@@ -156,7 +159,8 @@ class Node:
     def issue_request(self, service: int, session_seq: int, now: float) -> Emission | None:
         m = self.metrics
         m.requests_issued += 1
-        self.log.record_request((self.nid, session_seq), service, now)
+        if self._log_requests:
+            self.log.record_request((self.nid, session_seq), service, now)
         record = self.lookup(service)
         if record is not None:
             m.locally_satisfied += 1

@@ -188,6 +188,16 @@ def test_run_subcommand_overlapping_sessions_exit_2(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_run_subcommand_sessions_outlasting_the_window_exit_2(tmp_path, capsys):
+    # 5 services 10 s apart: a session's last request (40 s) comes after its
+    # 30 s window has closed it.
+    config = tmp_path / "outlast.txt"
+    config.write_text(CONFIG + "inter_request_gap = 10\n")
+    assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
+    assert "sessions outlast the window" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_gen_cm_rejects_negative_seed(capsys):
     assert main(["gen-cm", "3", "-1"]) == 2
     captured = capsys.readouterr()

@@ -117,6 +117,31 @@ def test_downward_closure_and_exactness(txns, support):
                 assert mined[subset] >= count
 
 
+def rank_related_full_scan(service, itemsets):
+    """Ranking by the strongest of every itemset holding ``service``: the
+    scan that ``rank_related`` did before it read only the pairs."""
+    best = {}
+    for items, count in itemsets.items():
+        if service not in items:
+            continue
+        for other in items:
+            if other != service and count > best.get(other, -1):
+                best[other] = count
+    return sorted(best, key=lambda b: (-best[b], b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(transactions_st,
+                 st.lists(st.frozensets(st.integers(min_value=0, max_value=15),
+                                        min_size=1, max_size=16),
+                          min_size=1, max_size=48)),
+       st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0]))
+def test_pair_ranking_equals_full_scan_on_mined_itemsets(txns, support):
+    mined = mine_frequent_itemsets(txns, support)
+    for service in range(17):   # 16 is never in a transaction
+        assert rank_related(service, mined) == rank_related_full_scan(service, mined)
+
+
 def test_mining_is_deterministic_over_item_order():
     rng = random.Random(7)
     for _ in range(50):

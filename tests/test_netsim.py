@@ -233,12 +233,22 @@ def test_paired_workload_identical_across_variants():
     assert on.topology.positions == off.topology.positions
 
 
+GOLDEN_REGRESSION = SimConfig(node_count=5, service_count=3, sessions_per_consumer=1,
+                              sim_duration=40.0, seed=12)
+GOLDEN_DENSE = SimConfig(node_count=20, service_count=8, sessions_per_consumer=2,
+                         log_overheard=True, mining_enabled=True, sim_duration=210.0,
+                         seed=8, support=0.3, mining_interval=5.0, seen_capacity=2,
+                         hop_latency=0.3, inter_request_gap=0.3)
+GOLDEN_SLOW_HOPS = replace(SMALL, seed=3, hop_latency=2.0, scan_interval=1.0,
+                           mining_interval=2.0, inter_request_gap=1.0, pending_timeout=30.0,
+                           support=0.3, log_overheard=True)
+
+
 def test_golden_trace_regression():
     # Frozen reference for the seeded event stream; a diff here means the
     # event ordering, rng derivation, or trace format changed.
     import hashlib
-    cfg = SimConfig(node_count=5, service_count=3, sessions_per_consumer=1,
-                    sim_duration=40.0, seed=12)
+    cfg = GOLDEN_REGRESSION
     trace: list = []
     metrics = run(cfg, trace=trace)
     assert trace[:4] == [
@@ -263,10 +273,7 @@ def test_golden_trace_dense():
     # that called the handler for every recipient, so it also checks that
     # skipping known duplicates ahead of the handler changes nothing.
     import hashlib
-    cfg = SimConfig(node_count=20, service_count=8, sessions_per_consumer=2,
-                    log_overheard=True, mining_enabled=True, sim_duration=210.0,
-                    seed=8, support=0.3, mining_interval=5.0, seen_capacity=2,
-                    hop_latency=0.3, inter_request_gap=0.3)
+    cfg = GOLDEN_DENSE
     trace: list = []
     metrics = run(cfg, trace=trace)
     assert len(trace) == 5878
@@ -289,9 +296,7 @@ def test_golden_trace_slow_hops():
     # engine that ran timers ahead of deliveries due at the same time
     # keeps both hashes above but changes this one.
     import hashlib
-    cfg = replace(SMALL, seed=3, hop_latency=2.0, scan_interval=1.0,
-                  mining_interval=2.0, inter_request_gap=1.0, pending_timeout=30.0,
-                  support=0.3, log_overheard=True)
+    cfg = GOLDEN_SLOW_HOPS
     trace: list = []
     metrics = run(cfg, trace=trace)
     assert len(trace) == 1238
@@ -382,7 +387,9 @@ def test_each_mining_tick_visits_every_node_in_id_order():
 def test_session_due_exactly_at_a_timer_is_closed_by_it(timer, end, closed):
     # No consumers, so the only session is the one planted below: opened at
     # 0.0, due at 3.0, which is a timer time.  The other timer never runs.
+    # inter_request_gap keeps the config valid: 4 gaps must fit in the window.
     cfg = replace(SMALL, consumer_fraction=0.0, session_window=3.0, sim_duration=end,
+                  inter_request_gap=0.5,
                   scan_interval=1.0 if timer == "scan" else 100.0,
                   mining_enabled=(timer == "tick"), mining_interval=1.0)
     sim = Simulation(cfg)
@@ -437,8 +444,10 @@ def test_config_rejects_values_packets_cannot_carry(change, message):
 def test_config_accepts_the_largest_encodable_values():
     # One session per consumer: 65536 requests a second apart would overrun
     # the next session's start (see test_config_rejects_overlapping_sessions).
+    # A 1e-4 s gap keeps all of them inside one session window.
     replace(SMALL, max_related=MAX_RELATED_RECORDS, node_count=65536,
-            service_count=65536, initial_ttl=255, sessions_per_consumer=1).validate()
+            service_count=65536, initial_ttl=255, sessions_per_consumer=1,
+            inter_request_gap=1e-4).validate()
 
 
 OVERLAPPING = SimConfig(node_count=8, service_count=10, inter_request_gap=20.0,
@@ -483,3 +492,105 @@ def test_overlap_rule_boundary(change, ok):
 ])
 def test_default_and_benchmark_configs_do_not_overlap(overrides):
     replace(SimConfig(node_count=20, service_count=10), **overrides).validate()
+
+
+OUTLASTING = SimConfig(node_count=8, service_count=10, inter_request_gap=6.0,
+                       sessions_per_consumer=3, eta=1.0, log_capacity=20, seed=1)
+
+
+def test_config_rejects_sessions_that_outlast_the_window():
+    # Unchecked, node 0 logged session (0,0) as {0,3,4,5,6,8} and again as
+    # {9}: the scan closed it at its 30 s window, and its last request, 54 s
+    # after its first, opened a second record under the same key.
+    with pytest.raises(ValueError, match="sessions outlast the window"):
+        OUTLASTING.validate()
+    with pytest.raises(ValueError, match="sessions outlast the window"):
+        Simulation(OUTLASTING)
+
+
+@pytest.mark.parametrize("change, ok", [
+    ({"session_window": 54.0}, False),     # the last request lands on the close
+    ({"session_window": 54.5}, True),
+    ({"inter_request_gap": 30 / 9}, False),
+    ({"inter_request_gap": 3.3}, True),    # 9 * 3.3 = 29.7 < 30
+])
+def test_window_rule_boundary(change, ok):
+    cfg = replace(OUTLASTING, **change)
+    if ok:
+        sim = Simulation(cfg)
+        sim.run()
+        for node in sim.nodes:
+            keys = [record.key for record in node.log.records]
+            assert len(keys) == len(set(keys))
+    else:
+        with pytest.raises(ValueError, match="sessions outlast the window"):
+            cfg.validate()
+
+
+# The mine_heavy workload of perfbench/run.py.
+MINE_HEAVY = SimConfig(node_count=12, service_count=16, radio_range=250.0,
+                       log_overheard=True, log_capacity=48, support=0.3,
+                       mining_interval=2.0, sessions_per_consumer=3, sim_duration=270.0)
+
+
+@pytest.mark.parametrize("cfg", [GOLDEN_REGRESSION, GOLDEN_DENSE, GOLDEN_SLOW_HOPS,
+                                 *(replace(MINE_HEAVY, seed=s) for s in range(3))])
+def test_no_session_stays_open_past_its_window(cfg, monkeypatch):
+    # After every close pass of a SCAN or a tick, whether it ran or was
+    # skipped, no open session is due.
+    original = Simulation._close_due_sessions
+    skipped = ran = 0
+
+    def checked(self, time):
+        nonlocal skipped, ran
+        window = self.cfg.session_window
+        if time - self._oldest_open < window:
+            skipped += 1
+        else:
+            ran += 1
+        original(self, time)
+        for node in self.nodes:
+            for record in node.log._open.values():
+                assert time - record.opened_at < window, (time, node.nid, record.key)
+
+    monkeypatch.setattr(Simulation, "_close_due_sessions", checked)
+    Simulation(cfg).run()
+    assert skipped > 0 and ran > 0
+
+
+@pytest.mark.parametrize("cfg", [GOLDEN_DENSE, MINE_HEAVY])
+def test_tick_remines_exactly_the_nodes_whose_log_changed(cfg, monkeypatch):
+    calls = []
+    original_remine, original_tick = Node.remine, Simulation._mining_tick
+
+    def counting(node, miner):
+        calls.append(node.nid)
+        return original_remine(node, miner)
+
+    ticks = []
+
+    def checked(self, time):
+        before = [node._mined_from[0] for node in self.nodes]
+        calls.clear()
+        original_tick(self, time)
+        moved = [node.nid for node, version in zip(self.nodes, before)
+                 if node.log.closed_version != version]
+        assert calls == moved
+        assert all(node._mined_from[0] == node.log.closed_version for node in self.nodes)
+        ticks.append(len(calls))
+
+    monkeypatch.setattr(Node, "remine", counting)
+    monkeypatch.setattr(Simulation, "_mining_tick", checked)
+    Simulation(cfg).run()
+    assert 0 < sum(ticks) < len(ticks) * cfg.node_count
+
+
+@pytest.mark.parametrize("log_overheard", [False, True])
+def test_mining_off_nodes_keep_no_session_log(log_overheard):
+    cfg = replace(SMALL, log_overheard=log_overheard)
+    off = Simulation(replace(cfg, mining_enabled=False))
+    assert off.run().requests_issued > 0
+    assert all(len(node.log) == 0 and node.log.closed_version == 0 for node in off.nodes)
+    on = Simulation(cfg)
+    on.run()
+    assert any(len(node.log) for node in on.nodes)
