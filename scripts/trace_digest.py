@@ -6,15 +6,16 @@ to the engine leaves each run the same.
     python3 scripts/trace_digest.py --check digest.jsonl
 
 Runs the benchmark's flood50 and mine_heavy configs (taken from
-``perfbench/run.py``) and the 20-node default config at root seeds 0, 3
-and 7, both variants, each once traced (``run(config, trace=[])``) and
-once untraced, and fails if the two disagree on ``Metrics``.  Prints one
-JSON line per run: the config name, seed, variant, the trace's sha256 (of
-its lines joined by newlines, as the golden tests hash it), its line count
-and the metrics.  Two checkouts behave the same on these runs when their
-outputs are identical.  With ``--check FILE`` it prints no digests but
-compares each run's with the line saved in FILE, names every run that
-differs (or that only one side has) and exits 1 if any does.
+``perfbench/run.py``), the 20-node default config and a ``churn`` config
+at root seeds 0, 3 and 7, both variants, each once traced
+(``run(config, trace=[])``) and once untraced, and fails if the two
+disagree on ``Metrics``.  Prints one JSON line per run: the config name,
+seed, variant, the trace's sha256 (of its lines joined by newlines, as
+the golden tests hash it), its line count and the metrics.  Two
+checkouts behave the same on these runs when their outputs are
+identical.  With ``--check FILE`` it prints no digests but compares each
+run's with the line saved in FILE, names every run that differs (or
+that only one side has) and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -39,7 +40,14 @@ SEEDS = (0, 3, 7)
 def configs() -> dict[str, SimConfig]:
     return {"flood50": bench.WORKLOADS["flood50"].base_config(),
             "mine_heavy": bench.WORKLOADS["mine_heavy"].base_config(),
-            "default20": SimConfig(node_count=20, service_count=10)}
+            "default20": SimConfig(node_count=20, service_count=10),
+            # The others never close a session by its consumer's next one
+            # and never evict an open record; a small overheard log with
+            # sessions 20 s apart (less than session_window) does both.
+            "churn": SimConfig(node_count=20, service_count=10, log_overheard=True,
+                               log_capacity=4, inter_session_gap=20.0,
+                               mining_interval=7.0, support=0.4,
+                               sessions_per_consumer=12, sim_duration=300.0)}
 
 
 def digest(config: SimConfig) -> dict:

@@ -95,7 +95,9 @@ def parse_config(text: str) -> ExperimentSpec:
     Keys are SimConfig field names plus ``seeds`` (comma list),
     ``variants`` (comma list) and ``out`` (output path); ``#`` starts a
     comment.  ``node_count`` and ``service_count`` are required, all other
-    keys default.  Each key may be set once.
+    keys default.  Each key may be set once.  ``mining_enabled`` is not a
+    key, since each variant sets it, and ``seed`` may not be given with
+    ``seeds``, which would override it.
     """
     first_line: dict[str, int] = {}
     overrides: dict = {}
@@ -126,10 +128,16 @@ def parse_config(text: str) -> ExperimentSpec:
             variants = tuple(tok.strip() for tok in value.split(","))
         elif key == "out":
             output = value
+        elif key == "mining_enabled":
+            raise ConfigError(f"line {lineno}: key 'mining_enabled' is set by each run's "
+                              f"variant; choose them with 'variants' instead")
         elif key in _CONFIG_FIELDS:
             overrides[key] = _parse_value(key, value, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+    if seeds is not None and "seed" in overrides:
+        raise ConfigError(f"key 'seed' (line {first_line['seed']}) is ignored when 'seeds' "
+                          f"(line {first_line['seeds']}) is given; set only one of them")
     for required in ("node_count", "service_count"):
         if required not in overrides:
             raise ConfigError(f"missing required key {required!r}")

@@ -11,9 +11,9 @@ recipients in adjacency order, skipping those that have seen it, and an
 SREP, always a unicast, goes straight to its one recipient.
 A timer's heap entry carries the plain function that runs it, so the loop
 compares no event kind.  One mining tick per interval visits every node in
-id order and re-mines those whose closed sessions changed; SCAN and the
-tick first close each node's due sessions, skipping the pass while none
-can be due.
+id order, closes its due sessions and re-mines it if its closed sessions
+changed.  The tick is the only reader of closed sessions, so it is the
+only timer that closes them by age; SCAN only fails timed-out requests.
 A run makes no reference cycles, so ``Simulation.run`` pauses CPython's
 cyclic garbage collector while it loops: the collector would otherwise
 sweep the young objects dozens of times per run and find nothing to free.
@@ -41,6 +41,8 @@ from .workload import CorrelationMatrix, build_correlation_matrix, build_schedul
 DELIVER = "deliver"
 ISSUE = "issue_request"
 MINING_TICK = "mining_tick"
+# SCAN fails timed-out requests and closes no session; its label stays as
+# it is because renaming it would change every trace.
 SCAN = "session_close_scan"
 
 
@@ -116,7 +118,7 @@ class SimConfig:
                 f"sessions overlap: (service_count - 1) * inter_request_gap = "
                 f"{(self.service_count - 1) * self.inter_request_gap} must be less "
                 f"than inter_session_gap = {self.inter_session_gap}")
-        # A session open for session_window is closed by the next scan or
+        # A session open for session_window is closed by the next mining
         # tick; a later request of the same session would open a second
         # record under its key, one session in pieces.
         if (self.service_count - 1) * self.inter_request_gap >= self.session_window:
@@ -227,8 +229,6 @@ class Simulation:
         self._seq = count()
         self._neighbors = [frozenset(ns) for ns in self.topology.adjacency.values()]
         self._mine_cache: dict[tuple, dict] = {}
-        # No bound yet, so the first close pass runs (see _close_due_sessions).
-        self._oldest_open = -math.inf
         # Every request timer is known now: append them in schedule order and
         # heapify once.  (time, seq) keys are unique, so the pop order is the
         # one a push per request would give.
@@ -366,35 +366,7 @@ class Simulation:
         if emission is not None:
             self.deliver_broadcast(consumer, emission[1], time)
 
-    def _close_due_sessions(self, time: float) -> None:
-        """Close the stale sessions of each node whose oldest open one is due,
-        by the inclusive test of close_stale_sessions (a no-op otherwise).
-
-        The pass is skipped while ``time - _oldest_open < session_window``.
-        ``_oldest_open`` is the earliest ``opened_at`` left open by the last
-        pass, or that pass's time if none was: sessions opened since then
-        have ``opened_at`` at or after it, and closes and evictions only
-        remove sessions.  Float subtraction is monotone in the subtrahend,
-        so no open session is due while the test holds."""
-        window = self.cfg.session_window
-        if time - self._oldest_open < window:
-            return
-        oldest = time
-        for node in self.nodes:
-            open_ = node.log._open
-            if open_:
-                opened_at = next(iter(open_.values())).opened_at
-                if time - opened_at >= window:
-                    node.log.close_stale_sessions(time, window)
-                    if not open_:
-                        continue
-                    opened_at = next(iter(open_.values())).opened_at
-                if opened_at < oldest:
-                    oldest = opened_at
-        self._oldest_open = oldest
-
     def _scan(self, time: float) -> None:
-        self._close_due_sessions(time)
         expired = 0
         for node in self.nodes:
             if node._pending:
@@ -404,11 +376,13 @@ class Simulation:
         self._push(time + self.cfg.scan_interval, Simulation._scan, ())
 
     def _mining_tick(self, time: float) -> None:
-        self._close_due_sessions(time)
-        miner, tracing = self._miner, self.trace is not None
+        miner, tracing, window = self._miner, self.trace is not None, self.cfg.session_window
         for node in self.nodes:
+            log = node.log
+            if log._open:
+                log.close_stale_sessions(time, window)
             # Only a log whose closed sessions changed needs remine.
-            if node.log.closed_version != node._mined_from[0]:
+            if log.closed_version != node._mined_from[0]:
                 node.remine(miner)
             if tracing:
                 self._trace(time, MINING_TICK, node.nid,

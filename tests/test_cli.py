@@ -72,6 +72,19 @@ def test_run_subcommand_duplicate_key_exit_2(tmp_path, capsys, line, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("mining_enabled = off", "key 'mining_enabled' is set by each run's variant"),
+    ("seed = 5", "key 'seed' (line 7) is ignored when 'seeds' (line 6) is given"),
+])
+def test_run_subcommand_ignored_key_exit_2(tmp_path, capsys, line, message):
+    config = tmp_path / "ignored.txt"
+    config.write_text(CONFIG + line + "\n")
+    out = tmp_path / "r.csv"
+    assert main(["run", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_run_subcommand_jobs_below_one_exit_2(tmp_path, capsys, jobs):
     config = tmp_path / "exp.txt"

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 
@@ -65,14 +66,14 @@ def test_parse_comments_bools_field_size_and_out():
     # experiment
     node_count = 6      # inline comment
     service_count = 3
-    mining_enabled = off
+    consumer_fraction = 0.5
     log_overheard = true
     field_size = 400x300
     out = results/foo.csv
     variants = mining_on
     """
     spec = parse_config(text)
-    assert spec.base.mining_enabled is False
+    assert spec.base.consumer_fraction == 0.5
     assert spec.base.log_overheard is True
     assert spec.base.field_size == (400.0, 300.0)
     assert spec.output == "results/foo.csv"
@@ -87,6 +88,18 @@ def test_parse_rejects_unknown_variant():
 def test_seeds_default_to_base_seed():
     spec = parse_config("node_count = 4\nservice_count = 2\nseed = 7\n")
     assert spec.seeds == (7,)
+
+
+@pytest.mark.parametrize("text, message", [
+    # Each run's variant sets mining_enabled, so the key would be ignored.
+    ("mining_enabled = off\n", "line 3: key 'mining_enabled' is set by each run's variant"),
+    # seeds overrides seed, which would be dropped.
+    ("seed = 5\nseeds = 0,1\n", "key 'seed' (line 3) is ignored when 'seeds' (line 4)"),
+    ("seeds = 0,1\nseed = 5\n", "key 'seed' (line 4) is ignored when 'seeds' (line 3)"),
+])
+def test_parse_rejects_keys_that_would_be_ignored(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config("node_count = 4\nservice_count = 2\n" + text)
 
 
 # -- running -------------------------------------------------------------------

@@ -383,10 +383,11 @@ def test_each_mining_tick_visits_every_node_in_id_order():
 
 
 @pytest.mark.parametrize("timer", ["scan", "tick"])
-@pytest.mark.parametrize("end, closed", [(2.5, False), (3.5, True)])
-def test_session_due_exactly_at_a_timer_is_closed_by_it(timer, end, closed):
+@pytest.mark.parametrize("end, due", [(2.5, False), (3.5, True)])
+def test_session_due_exactly_at_a_timer_is_closed_by_it(timer, end, due):
     # No consumers, so the only session is the one planted below: opened at
     # 0.0, due at 3.0, which is a timer time.  The other timer never runs.
+    # Only the mining tick closes sessions by age; SCAN leaves it open.
     # inter_request_gap keeps the config valid: 4 gaps must fit in the window.
     cfg = replace(SMALL, consumer_fraction=0.0, session_window=3.0, sim_duration=end,
                   inter_request_gap=0.5,
@@ -396,7 +397,7 @@ def test_session_due_exactly_at_a_timer_is_closed_by_it(timer, end, closed):
     sim.nodes[0].log.record_request((99, 0), 1, now=0.0)
     sim.run()
     (record,) = sim.nodes[0].log.records
-    assert record.closed is closed
+    assert record.closed is (due and timer == "tick")
 
 
 FLOAT_FIELDS = ("field_size", "radio_range", "eta", "support", "session_window",
@@ -536,26 +537,59 @@ MINE_HEAVY = SimConfig(node_count=12, service_count=16, radio_range=250.0,
 @pytest.mark.parametrize("cfg", [GOLDEN_REGRESSION, GOLDEN_DENSE, GOLDEN_SLOW_HOPS,
                                  *(replace(MINE_HEAVY, seed=s) for s in range(3))])
 def test_no_session_stays_open_past_its_window(cfg, monkeypatch):
-    # After every close pass of a SCAN or a tick, whether it ran or was
-    # skipped, no open session is due.
-    original = Simulation._close_due_sessions
-    skipped = ran = 0
+    # After every mining tick no open session is due, and some ticks find
+    # one due on entry and close it.
+    original = Simulation._mining_tick
+    closing = 0
 
     def checked(self, time):
-        nonlocal skipped, ran
+        nonlocal closing
         window = self.cfg.session_window
-        if time - self._oldest_open < window:
-            skipped += 1
-        else:
-            ran += 1
+        closing += any(time - record.opened_at >= window
+                       for node in self.nodes for record in node.log._open.values())
         original(self, time)
         for node in self.nodes:
             for record in node.log._open.values():
                 assert time - record.opened_at < window, (time, node.nid, record.key)
 
-    monkeypatch.setattr(Simulation, "_close_due_sessions", checked)
+    monkeypatch.setattr(Simulation, "_mining_tick", checked)
     Simulation(cfg).run()
-    assert skipped > 0 and ran > 0
+    assert closing > 0
+
+
+@pytest.mark.parametrize("mining_interval", [3.0, 25.0])
+@pytest.mark.parametrize("inter_session_gap", [12.0, 60.0])
+@pytest.mark.parametrize("log_capacity", [2, 24])
+@pytest.mark.parametrize("log_overheard", [False, True])
+def test_scan_that_also_closes_due_sessions_changes_nothing(
+        monkeypatch, log_overheard, log_capacity, inter_session_gap, mining_interval):
+    # The reference SCAN closes every node's due sessions first.  Only the
+    # tick reads closed sessions, and a session due at a SCAN is still due
+    # at the next tick, so traces and metrics must stay byte-identical.  A
+    # gap of 12 s, less than session_window, makes new sessions close old
+    # ones; a log of 2 evicts open records.
+    cfg = replace(SMALL, seed=6, sessions_per_consumer=4, sim_duration=200.0,
+                  log_overheard=log_overheard, log_capacity=log_capacity,
+                  inter_session_gap=inter_session_gap, mining_interval=mining_interval)
+    plain_trace: list[str] = []
+    plain = run(cfg, trace=plain_trace)
+
+    original = Simulation._scan
+    scan_closes = 0
+
+    def closing_scan(self, time):
+        nonlocal scan_closes
+        for node in self.nodes:
+            before = node.log.closed_version
+            node.log.close_stale_sessions(time, self.cfg.session_window)
+            scan_closes += node.log.closed_version - before
+        original(self, time)
+
+    monkeypatch.setattr(Simulation, "_scan", closing_scan)
+    reference_trace: list[str] = []
+    assert run(cfg, trace=reference_trace) == plain
+    assert reference_trace == plain_trace
+    assert scan_closes > 0
 
 
 @pytest.mark.parametrize("cfg", [GOLDEN_DENSE, MINE_HEAVY])
