@@ -24,14 +24,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import run as bench  # noqa: E402  (also puts src/ on sys.path)
 
-from corrdisc.experiment import VARIANTS  # noqa: E402
+from corrdisc.experiment import VARIANTS, variant_config  # noqa: E402
 from corrdisc.netsim import SimConfig, run  # noqa: E402
 
 SEEDS = (0, 3, 7)
@@ -93,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, base in configs().items():
         for seed in SEEDS:
             for variant in VARIANTS:
-                config = replace(base, seed=seed, mining_enabled=(variant == "mining_on"))
+                config = variant_config(base, seed, variant)
                 line = {"config": name, "seed": seed, "variant": variant, **digest(config)}
                 runs += 1
                 if saved is None:

@@ -17,12 +17,11 @@ import logging
 import os
 import sys
 
-from numpy.random import SeedSequence, default_rng
-
 from .experiment import (ConfigError, parse_config, run_experiment, write_csv,
                          write_summary)
 from .mining import (brute_force_frequent_itemsets, mine_frequent_itemsets,
                      parse_transactions_text)
+from .netsim import substreams
 from .workload import build_correlation_matrix, cm_to_text
 
 
@@ -99,10 +98,9 @@ def _cmd_gen_cm(args) -> int:
     if args.seed < 0:
         print(f"error: seed must be >= 0, got {args.seed}", file=sys.stderr)
         return 2
-    # Same substream derivation as a simulation run, so the dump matches
-    # the matrix an experiment with this seed would use.
-    _, _, workload_seq = SeedSequence(args.seed).spawn(3)
-    cm = build_correlation_matrix(args.services, default_rng(workload_seq))
+    # A run's workload substream: the dump is the matrix a run at this seed uses.
+    _, _, workload_rng = substreams(args.seed)
+    cm = build_correlation_matrix(args.services, workload_rng)
     print(cm_to_text(cm))
     return 0
 

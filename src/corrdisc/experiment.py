@@ -154,9 +154,14 @@ def parse_config(text: str) -> ExperimentSpec:
 
 # -- execution ----------------------------------------------------------------
 
+def variant_config(base: SimConfig, seed: int, variant: str) -> SimConfig:
+    """The config of one run: ``base`` at ``seed``, mining on for ``mining_on``."""
+    return replace(base, seed=seed, mining_enabled=(variant == "mining_on"))
+
+
 def _run_one(args: tuple[SimConfig, int, str, str | None]) -> RunRow:
     base, seed, variant, trace_dir = args
-    config = replace(base, seed=seed, mining_enabled=(variant == "mining_on"))
+    config = variant_config(base, seed, variant)
     trace: list[str] | None = [] if trace_dir else None
     metrics = run(config, trace=trace)
     if trace_dir:

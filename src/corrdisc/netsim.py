@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import count
 
-from numpy.random import SeedSequence, default_rng
+from numpy.random import Generator, SeedSequence, default_rng
 
 from .mining import mine_frequent_itemsets
 from .node import Node
@@ -181,6 +181,12 @@ def place_nodes(config: SimConfig, rng) -> Topology:
     return Topology(dict(enumerate(zip(xs, ys))), adjacency)
 
 
+def substreams(seed: int) -> tuple[Generator, Generator, Generator]:
+    """The placement, service-assignment and workload generators of a seed."""
+    placement, services, workload = SeedSequence(seed).spawn(3)
+    return default_rng(placement), default_rng(services), default_rng(workload)
+
+
 def assign_services(config: SimConfig, rng) -> dict[int, int]:
     """Ground-truth placement: one uniformly drawn provider per service."""
     return {service: int(rng.integers(config.node_count))
@@ -207,10 +213,9 @@ class Simulation:
         self.cfg = config
         self._hop_latency = config.hop_latency  # read on every transmission
         self.trace = trace
-        placement_seq, services_seq, workload_seq = SeedSequence(config.seed).spawn(3)
-        self.topology = place_nodes(config, default_rng(placement_seq))
-        self.placement = assign_services(config, default_rng(services_seq))
-        workload_rng = default_rng(workload_seq)
+        placement_rng, services_rng, workload_rng = substreams(config.seed)
+        self.topology = place_nodes(config, placement_rng)
+        self.placement = assign_services(config, services_rng)
         n = config.service_count
         if cm is not None and (len(cm) != n or any(
                 len(row) != n or not set(row) <= {0, 1} for row in cm)):
@@ -227,7 +232,6 @@ class Simulation:
         # hop_latency after the current time; one seq numbers both queues.
         self._deliveries: deque = deque()  # (time, seq, recipients, from_node, packet)
         self._seq = count()
-        self._neighbors = [frozenset(ns) for ns in self.topology.adjacency.values()]
         self._mine_cache: dict[tuple, dict] = {}
         # Every request timer is known now: append them in schedule order and
         # heapify once.  (time, seq) keys are unique, so the pop order is the
@@ -255,7 +259,7 @@ class Simulation:
 
     def _miner(self, transactions: list[frozenset[int]]) -> dict[frozenset[int], int]:
         # Kept because `perfbench/test_perfbench.py` asserts that each distinct
-        # snapshot is mined once.  Since `Node.remine` skips logs whose closed
+        # snapshot is mined once.  Since the tick skips logs whose closed
         # sessions did not change, few snapshots repeat (`perfbench/run.py
         # --trace 1`: cache_hit_ratio 0.17 on mine_heavy, 0.00 on flood50).  A
         # key holds the frozensets the logs store, not copies, so building
@@ -279,10 +283,8 @@ class Simulation:
                                  self.topology.adjacency[from_node], from_node, sreq))
 
     def deliver_unicast(self, from_node: int, to: int, srep: Srep, now: float) -> None:
-        """Count and trace one SREP unicast to a neighbour; drop it otherwise."""
-        if to not in self._neighbors[from_node]:
-            self.metrics.packets_dropped += 1
-            return
+        """Count and trace one SREP unicast.  ``to`` is a neighbour: replies
+        retrace the hops their SREQ came over, and adjacency is symmetric."""
         self.metrics.srep_transmissions += 1
         if self.trace is not None:
             self._trace(now, "tx_ucast", from_node, f"to={to} " + _packet_detail(srep))

@@ -110,7 +110,7 @@ class Node:
         # The keys of _seen, oldest first (an id is remembered only once), so
         # eviction need not walk the deleted slots at the front of the dict.
         self._seen_order: deque[MsgId] = deque()
-        self._pending: dict[MsgId, tuple[int, float]] = {}
+        self._pending: dict[MsgId, float] = {}   # msg_id -> issue time
         self._next_seq = 0
 
     # -- service knowledge ------------------------------------------------
@@ -172,17 +172,16 @@ class Node:
         self._next_seq += 1
         sreq = Sreq(self.nid, seq, session_seq, service, self._initial_ttl)
         self._remember(sreq.msg_id, None)
-        self._pending[sreq.msg_id] = (service, now)
+        self._pending[sreq.msg_id] = now
         m.broadcasts_originated += 1
         return None, sreq
 
     def handle_sreq(self, sreq: Sreq, from_node: int, now: float) -> Emission | None:
+        """Handle a request whose id the node has not seen; the caller
+        (``Simulation._loop``) drops duplicates before calling."""
         origin, seq, session_seq, requested, ttl = sreq
         msg_id = (origin, seq)
         seen = self._seen
-        if msg_id in seen:
-            # Re-logging a duplicate would be a no-op (set semantics).
-            return None
         # _remember, inlined: this runs once per first copy of a flood.
         if len(seen) >= self._seen_capacity:
             del seen[self._seen_order.popleft()]
@@ -240,14 +239,9 @@ class Node:
 
     # -- periodic duties ----------------------------------------------------
 
-    def remine(self, miner) -> int:
-        """Refresh the itemset snapshot from the closed sessions in the log;
-        returns the number of transactions in the snapshot.  While the
-        log's closed sessions are unchanged, ``itemsets`` already holds the
-        miner's result and neither the snapshot nor the miner is run."""
-        version, count = self._mined_from
-        if self.log.closed_version == version:
-            return count
+    def remine(self, miner) -> None:
+        """Mine the log's closed sessions on every call; ``_mining_tick`` calls
+        it only when the log's ``closed_version`` moved since the last mine."""
         transactions = self.log.snapshot_transactions()
         if len(transactions) >= MIN_MINING_TRANSACTIONS:
             self.itemsets = miner(transactions)
@@ -255,13 +249,11 @@ class Node:
             self.itemsets = {}
         self._ranked = {}
         self._mined_from = (self.log.closed_version, len(transactions))
-        return len(transactions)
 
     def expire_pending(self, now: float) -> int:
         """Fail every pending request older than the timeout; returns count."""
         timeout = self.cfg.pending_timeout
-        expired = [mid for mid, (_, issued) in self._pending.items()
-                   if now - issued >= timeout]
+        expired = [mid for mid, issued in self._pending.items() if now - issued >= timeout]
         for mid in expired:
             del self._pending[mid]
         self.metrics.requests_failed += len(expired)

@@ -7,7 +7,7 @@ from corrdisc import experiment
 from corrdisc.experiment import (METRIC_FIELDS, ConfigError, ExperimentSpec,
                                  RunRow, format_summary, parse_config,
                                  run_experiment, rows_to_table, summarize,
-                                 write_csv)
+                                 variant_config, write_csv)
 from corrdisc.netsim import Metrics, SimConfig
 
 SMALL = SimConfig(node_count=8, service_count=5, sessions_per_consumer=2,
@@ -117,6 +117,13 @@ def test_run_experiment_rows_and_pairing():
         by_seed.setdefault(row.seed, []).append(row.metrics.requests_issued)
     for issued in by_seed.values():
         assert issued[0] == issued[1]
+
+
+@pytest.mark.parametrize("variant, mining", [("mining_off", False), ("mining_on", True)])
+def test_variant_config_sets_only_seed_and_mining(variant, mining):
+    base = SimConfig(node_count=8, service_count=5, seed=9, mining_enabled=not mining)
+    assert variant_config(base, 4, variant) == SimConfig(node_count=8, service_count=5,
+                                                         seed=4, mining_enabled=mining)
 
 
 def test_run_experiment_single_variant_baseline():

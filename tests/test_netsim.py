@@ -189,24 +189,6 @@ def test_baseline_trace_has_no_related_records():
             assert "related=[]" in line
 
 
-def test_unicast_to_non_neighbor_dropped():
-    sim = Simulation(SMALL)
-    isolated_pair = None
-    for i, neighbors in sim.topology.adjacency.items():
-        for j in range(sim.cfg.node_count):
-            if j != i and j not in neighbors:
-                isolated_pair = (i, j)
-                break
-        if isolated_pair:
-            break
-    assert isolated_pair is not None
-    i, j = isolated_pair
-    sim.deliver_unicast(i, j, Srep(1, 0, (0, 0), 8, (1, 1), ()), now=0.0)
-    assert sim.metrics.packets_dropped == 1
-    assert sim.metrics.srep_transmissions == 0
-    assert not sim._deliveries
-
-
 def test_injected_correlation_matrix_is_used():
     cm = [[0] * 5 for _ in range(5)]   # no correlation: every session = {seed}
     sim = Simulation(replace(SMALL, eta=1.0), cm=cm)
@@ -617,6 +599,44 @@ def test_tick_remines_exactly_the_nodes_whose_log_changed(cfg, monkeypatch):
     monkeypatch.setattr(Simulation, "_mining_tick", checked)
     Simulation(cfg).run()
     assert 0 < sum(ticks) < len(ticks) * cfg.node_count
+
+
+# The flood50 workload of perfbench/run.py, at root seed 0.
+FLOOD50 = SimConfig(node_count=50, service_count=10, sessions_per_consumer=4,
+                    sim_duration=330.0)
+# GOLDEN_DENSE's two-entry seen memory makes nodes forget ids and handle them again.
+PROTOCOL_LAW_CONFIGS = [replace(cfg, mining_enabled=on) for cfg in (GOLDEN_DENSE, FLOOD50)
+                        for on in (False, True)]
+
+
+@pytest.mark.parametrize("cfg", PROTOCOL_LAW_CONFIGS)
+def test_engine_hands_handle_sreq_only_unseen_ids(cfg, monkeypatch):
+    # The loop's seen check is the only duplicate check: handle_sreq has none.
+    original = Node.handle_sreq
+    handled = Counter()
+
+    def spy(node, sreq, from_node, now):
+        assert (sreq.origin, sreq.seq) not in node._seen, (now, node.nid, sreq)
+        handled[(node.nid, sreq.origin, sreq.seq)] += 1
+        return original(node, sreq, from_node, now)
+
+    monkeypatch.setattr(Node, "handle_sreq", spy)
+    Simulation(cfg).run()
+    assert handled
+    if cfg.seen_capacity == 2:
+        assert max(handled.values()) > 1
+
+
+@pytest.mark.parametrize("cfg", PROTOCOL_LAW_CONFIGS)
+def test_every_reply_hop_is_between_neighbours(cfg):
+    # deliver_unicast drops nothing, so every SREP must go to a neighbour.
+    trace: list[str] = []
+    sim = Simulation(cfg, trace=trace)
+    metrics = sim.run()
+    hops = [line.split()[2:4] for line in trace if line.split()[1] == "tx_ucast"]
+    assert len(hops) == metrics.srep_transmissions > 0
+    for sender, to in hops:
+        assert int(to.removeprefix("to=")) in sim.topology.adjacency[int(sender)]
 
 
 @pytest.mark.parametrize("log_overheard", [False, True])

@@ -165,15 +165,6 @@ def test_handle_sreq_rebroadcast_decrements_ttl():
     assert fwd.msg_id == sreq.msg_id
 
 
-def test_handle_sreq_duplicate_suppressed():
-    node = make_node(nid=2)
-    sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    assert node.handle_sreq(sreq, from_node=1, now=2.0) is not None
-    assert node.handle_sreq(sreq, from_node=3, now=2.1) is None
-    # Re-delivery with lower ttl is the same message: still suppressed.
-    assert node.handle_sreq(Sreq(1, 0, 0, 3, 5), from_node=3, now=2.2) is None
-
-
 def test_handle_sreq_logs_overheard_request():
     node = make_node(nid=2, log_overheard=True)
     sreq = Sreq(origin=1, seq=0, session_seq=4, requested=3, ttl=8)
@@ -193,7 +184,7 @@ def test_handle_sreq_no_overheard_logging_when_disabled():
 
 def test_handle_srep_destined_insert_order_answer_first():
     node = make_node(nid=1)
-    node._pending[(1, 0)] = (3, 0.0)
+    node._pending[(1, 0)] = 0.0
     srep = Srep(responder=2, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6), (9, 6)))
     assert node.handle_srep(srep, from_node=2, now=3.0) is None
@@ -289,7 +280,9 @@ def test_remine_respects_minimum_database():
     assert node.itemsets == {fs(1): 3}
 
 
-def test_remine_skips_the_miner_while_closed_sessions_are_unchanged():
+def test_remine_mines_on_every_call():
+    # Skipping unchanged logs is the mining tick's job
+    # (test_tick_remines_exactly_the_nodes_whose_log_changed).
     node = make_node(log_overheard=True)
     calls = []
 
@@ -300,13 +293,15 @@ def test_remine_skips_the_miner_while_closed_sessions_are_unchanged():
     for i in range(3):
         node.log.record_request((5, i), 1, now=float(i))
     node.log.close_stale_sessions(now=100.0, session_window=1.0)
-    assert node.remine(miner) == 3
     node.log.record_request((6, 0), 2, now=101.0)   # an open session only
-    assert [node.remine(miner) for _ in range(3)] == [3, 3, 3]
-    assert len(calls) == 1 and node.itemsets == {fs(1): 3}
-    node.log.close_stale_sessions(now=200.0, session_window=1.0)
-    assert node.remine(miner) == 4
-    assert len(calls) == 2 and node.itemsets == {fs(1): 4}
+    for mines in (1, 2, 3):
+        node._ranked[1] = []
+        node.remine(miner)
+        assert len(calls) == mines
+        assert node._ranked == {}
+    assert calls == [[fs(1)] * 3] * 3
+    assert node.itemsets == {fs(1): 3}
+    assert node._mined_from == (node.log.closed_version, 3)
 
 
 def fresh_picks(node, service):
