@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from corrdisc.experiment import ExperimentSpec, run_experiment, write_csv, write_summary
+from corrdisc.experiment import ExperimentSpec, format_summary, run_experiment, write_csv
 from corrdisc.netsim import SimConfig
 
 
@@ -34,7 +34,7 @@ def main(argv: list[str] | None = None) -> int:
         path = os.path.join(args.out_dir, f"satisfaction_{label}.csv")
         write_csv(rows, path)
         print(f"== {nodes} nodes, {args.seeds} paired seeds -> {path}")
-        write_summary(rows)
+        print(format_summary(rows))
         print()
     return 0
 

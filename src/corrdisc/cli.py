@@ -17,11 +17,11 @@ import logging
 import os
 import sys
 
-from .experiment import (ConfigError, parse_config, run_experiment, write_csv,
-                         write_summary)
+from .experiment import ConfigError, format_summary, parse_config, run_experiment, write_csv
 from .mining import (brute_force_frequent_itemsets, mine_frequent_itemsets,
                      parse_transactions_text)
 from .netsim import substreams
+from .packets import ID_LIMIT
 from .workload import build_correlation_matrix, cm_to_text
 
 
@@ -61,7 +61,7 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 1
-    write_summary(rows)
+    print(format_summary(rows))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -94,6 +94,10 @@ def _cmd_mine(args) -> int:
 def _cmd_gen_cm(args) -> int:
     if args.services < 1:
         print("error: need at least one service", file=sys.stderr)
+        return 2
+    if args.services > ID_LIMIT:
+        print(f"error: service_count must be at most {ID_LIMIT}, got {args.services}",
+              file=sys.stderr)
         return 2
     if args.seed < 0:
         print(f"error: seed must be >= 0, got {args.seed}", file=sys.stderr)

@@ -167,7 +167,7 @@ def _run_one(args: tuple[SimConfig, int, str, str | None]) -> RunRow:
     if trace_dir:
         path = os.path.join(trace_dir, f"seed{seed}_{variant}.trace")
         with open(path, "w") as fh:
-            fh.write("\n".join(trace) + "\n")
+            fh.writelines(f"{line}\n" for line in trace)
     log.debug("seed=%d variant=%s issued=%d satisfied=%d", seed, variant,
               metrics.requests_issued, metrics.locally_satisfied)
     return RunRow(seed, variant, metrics)
@@ -239,7 +239,3 @@ def format_summary(rows: list[RunRow]) -> str:
         lines.append(f"mining_on wins {summary['mining_on_wins']}/"
                      f"{summary['paired_seeds']} paired seeds")
     return "\n".join(lines)
-
-
-def write_summary(rows: list[RunRow], file=None) -> None:
-    print(format_summary(rows), file=file)

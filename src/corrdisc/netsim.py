@@ -35,7 +35,7 @@ from numpy.random import Generator, SeedSequence, default_rng
 from .mining import mine_frequent_itemsets
 from .node import Node
 from .packets import ID_LIMIT, MAX_RELATED_RECORDS, Sreq, Srep
-from .workload import CorrelationMatrix, build_correlation_matrix, build_schedule
+from .workload import build_correlation_matrix, build_schedule
 
 # Trace names of the events.
 DELIVER = "deliver"
@@ -44,6 +44,7 @@ MINING_TICK = "mining_tick"
 # SCAN fails timed-out requests and closes no session; its label stays as
 # it is because renaming it would change every trace.
 SCAN = "session_close_scan"
+SCAN_INTERVAL = 1.0  # seconds between SCANs
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class SimConfig:
     max_related: int = 1
     pending_timeout: float = 5.0
     seen_capacity: int = 1024
-    scan_interval: float = 1.0
 
     def validate(self) -> None:
         # Every comparison with NaN is false, so NaN slips past the range
@@ -84,7 +84,7 @@ class SimConfig:
                     "log_capacity", "session_window", "mining_interval",
                     "hop_latency", "inter_request_gap", "inter_session_gap",
                     "max_related", "pending_timeout", "seen_capacity",
-                    "scan_interval", "sessions_per_consumer")
+                    "sessions_per_consumer")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -207,8 +207,7 @@ def _packet_detail(packet: Sreq | Srep) -> str:
 class Simulation:
     """One seeded run.  Single-threaded; independent runs share nothing."""
 
-    def __init__(self, config: SimConfig, *, cm: CorrelationMatrix | None = None,
-                 trace: list[str] | None = None):
+    def __init__(self, config: SimConfig, *, trace: list[str] | None = None):
         config.validate()
         self.cfg = config
         self._hop_latency = config.hop_latency  # read on every transmission
@@ -216,12 +215,7 @@ class Simulation:
         placement_rng, services_rng, workload_rng = substreams(config.seed)
         self.topology = place_nodes(config, placement_rng)
         self.placement = assign_services(config, services_rng)
-        n = config.service_count
-        if cm is not None and (len(cm) != n or any(
-                len(row) != n or not set(row) <= {0, 1} for row in cm)):
-            raise ValueError(f"cm must be {n}x{n} with 0/1 cells, got {len(cm)} rows "
-                             f"of lengths {sorted({len(row) for row in cm})}")
-        self.cm = cm if cm is not None else build_correlation_matrix(n, workload_rng)
+        self.cm = build_correlation_matrix(config.service_count, workload_rng)
         self.schedule = build_schedule(config, self.cm, workload_rng)
         self.metrics = Metrics()
         self.nodes = [Node(i, config, self.metrics) for i in range(config.node_count)]
@@ -244,7 +238,7 @@ class Simulation:
                 heap.append((start + idx * gap, next(seq), issue,
                              (consumer, service, session_seq)))
         heapq.heapify(heap)
-        self._push(config.scan_interval, Simulation._scan, ())
+        self._push(SCAN_INTERVAL, Simulation._scan, ())
         if config.mining_enabled:
             self._push(config.mining_interval, Simulation._mining_tick, ())
 
@@ -305,7 +299,7 @@ class Simulation:
                 gc.enable()
         # Whatever is still pending when the clock stops counts as failed.
         for node in self.nodes:
-            node.fail_all_pending()
+            node.expire_pending(math.inf)
         m = self.metrics
         if m.requests_issued != m.locally_satisfied + m.requests_answered + m.requests_failed:
             raise RuntimeError(
@@ -375,7 +369,7 @@ class Simulation:
                 expired += node.expire_pending(time)
         if self.trace is not None:
             self._trace(time, SCAN, "-", f"expired={expired}")
-        self._push(time + self.cfg.scan_interval, Simulation._scan, ())
+        self._push(time + SCAN_INTERVAL, Simulation._scan, ())
 
     def _mining_tick(self, time: float) -> None:
         miner, tracing, window = self._miner, self.trace is not None, self.cfg.session_window
@@ -392,7 +386,6 @@ class Simulation:
         self._push(time + self.cfg.mining_interval, Simulation._mining_tick, ())
 
 
-def run(config: SimConfig, *, cm: CorrelationMatrix | None = None,
-        trace: list[str] | None = None) -> Metrics:
+def run(config: SimConfig, *, trace: list[str] | None = None) -> Metrics:
     """Execute one run to ``sim_duration`` and return its metrics."""
-    return Simulation(config, cm=cm, trace=trace).run()
+    return Simulation(config, trace=trace).run()

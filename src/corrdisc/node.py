@@ -44,7 +44,9 @@ class ServiceRecord:
 
 
 class ServiceTable:
-    """Insertion-ordered service cache, at most one record per service.
+    """Reference model of a node's service table, which ``Node._learn``
+    keeps in place: an insertion-ordered cache of at most one record per
+    service.
 
     Re-inserting a known service replaces the record in place without
     refreshing its FIFO position; inserting a new service at capacity
@@ -86,10 +88,10 @@ class Node:
         self.nid = nid
         self.cfg = config
         self.metrics = metrics
-        self.table = ServiceTable(config.cache_capacity)
-        # The per-hop paths read these instead of the table's methods and
-        # the config's fields.
-        self._records = self.table._entries
+        # The service table: service -> record, oldest first, at most
+        # _capacity of them.  ServiceTable is its reference model.
+        self._records: dict[int, ServiceRecord] = {}
+        # The per-hop paths read these instead of the config's fields.
         self._capacity = config.cache_capacity
         self._seen_capacity = config.seen_capacity
         self._initial_ttl = config.initial_ttl
@@ -251,16 +253,11 @@ class Node:
         self._mined_from = (self.log.closed_version, len(transactions))
 
     def expire_pending(self, now: float) -> int:
-        """Fail every pending request older than the timeout; returns count."""
+        """Fail every pending request older than the timeout; returns count.
+        ``now=math.inf`` fails them all."""
         timeout = self.cfg.pending_timeout
         expired = [mid for mid, issued in self._pending.items() if now - issued >= timeout]
         for mid in expired:
             del self._pending[mid]
         self.metrics.requests_failed += len(expired)
         return len(expired)
-
-    def fail_all_pending(self) -> int:
-        count = len(self._pending)
-        self._pending.clear()
-        self.metrics.requests_failed += count
-        return count

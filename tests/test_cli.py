@@ -4,6 +4,8 @@ import pytest
 from numpy.random import SeedSequence, default_rng
 
 from corrdisc.cli import main
+from corrdisc.netsim import SimConfig, Simulation
+from corrdisc.packets import ID_LIMIT
 from corrdisc.workload import build_correlation_matrix, cm_to_text
 
 CONFIG = """
@@ -153,15 +155,27 @@ def test_mine_subcommand_bad_support(tmp_path, capsys):
 
 
 def test_gen_cm_matches_experiment_substream(capsys):
-    assert main(["gen-cm", "6", "42"]) == 0
-    printed = capsys.readouterr().out.strip()
-    _, _, workload_seq = SeedSequence(42).spawn(3)
-    expected = cm_to_text(build_correlation_matrix(6, default_rng(workload_seq)))
-    assert printed == expected
+    # The printed matrix is the one a run at that seed uses.
+    for seed in (0, 1, 2, 42):
+        assert main(["gen-cm", "6", str(seed)]) == 0
+        printed = capsys.readouterr().out
+        _, _, workload_seq = SeedSequence(seed).spawn(3)
+        expected = cm_to_text(build_correlation_matrix(6, default_rng(workload_seq)))
+        assert printed == expected + "\n"
+        sim = Simulation(SimConfig(node_count=3, service_count=6, seed=seed))
+        assert printed == cm_to_text(sim.cm) + "\n"
 
 
 def test_gen_cm_rejects_zero_services(capsys):
     assert main(["gen-cm", "0", "42"]) == 2
+
+
+def test_gen_cm_rejects_more_services_than_a_run_accepts(capsys):
+    # Checked before any draw: the matrix would be (ID_LIMIT + 1) ** 2 cells.
+    assert main(["gen-cm", str(ID_LIMIT + 1), "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"service_count must be at most {ID_LIMIT}, got {ID_LIMIT + 1}" in err
 
 
 @pytest.mark.parametrize("line", ["seed = -2", "seeds = 0,-1"])

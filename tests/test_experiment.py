@@ -1,14 +1,15 @@
 import csv
 import re
+from dataclasses import replace
 
 import pytest
 
 from corrdisc import experiment
-from corrdisc.experiment import (METRIC_FIELDS, ConfigError, ExperimentSpec,
+from corrdisc.experiment import (METRIC_FIELDS, VARIANTS, ConfigError, ExperimentSpec,
                                  RunRow, format_summary, parse_config,
                                  run_experiment, rows_to_table, summarize,
                                  variant_config, write_csv)
-from corrdisc.netsim import Metrics, SimConfig
+from corrdisc.netsim import Metrics, SimConfig, run
 
 SMALL = SimConfig(node_count=8, service_count=5, sessions_per_consumer=2,
                   sim_duration=150.0)
@@ -37,8 +38,10 @@ def test_parse_eta():
 
 
 def test_parse_unknown_key_names_line():
-    with pytest.raises(ConfigError, match="line 3"):
-        parse_config("node_count = 4\nservice_count = 2\nbogus = 1\n")
+    # scan_interval is no key: SCAN runs every netsim.SCAN_INTERVAL.
+    for key in ("bogus", "scan_interval"):
+        with pytest.raises(ConfigError, match=f"line 3: unknown key '{key}'"):
+            parse_config(f"node_count = 4\nservice_count = 2\n{key} = 1\n")
 
 
 def test_parse_bad_value_names_line():
@@ -182,11 +185,18 @@ def test_run_experiment_rejects_jobs_below_one(jobs):
 
 
 def test_run_experiment_writes_traces(tmp_path):
-    spec = ExperimentSpec(base=SMALL, seeds=(0,), variants=("mining_on",))
-    run_experiment(spec, trace_dir=str(tmp_path))
-    trace = tmp_path / "seed0_mining_on.trace"
-    assert trace.exists()
-    assert trace.read_text().strip()
+    # Each file holds the engine's trace lines, each ended by a newline, so
+    # a run without events writes an empty file.
+    for duration in (SMALL.sim_duration, 0.0):
+        base = replace(SMALL, sim_duration=duration)
+        trace_dir = tmp_path / f"d{duration}"
+        run_experiment(ExperimentSpec(base=base, seeds=(0,)), trace_dir=str(trace_dir))
+        for variant in VARIANTS:
+            trace: list = []
+            run(variant_config(base, 0, variant), trace=trace)
+            written = (trace_dir / f"seed0_{variant}.trace").read_bytes()
+            assert written == "".join(f"{line}\n" for line in trace).encode()
+            assert bool(written) == (duration > 0)
 
 
 # -- output ------------------------------------------------------------------------

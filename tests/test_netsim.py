@@ -99,7 +99,7 @@ def test_conservation_and_sanity_of_counters():
 
 def test_broken_conservation_raises_even_under_optimisation(monkeypatch):
     # A plain assert would vanish under ``python -O``; the check must not.
-    monkeypatch.setattr(Node, "fail_all_pending", lambda node: 0)
+    monkeypatch.setattr(Node, "expire_pending", lambda node, now: 0)
     with pytest.raises(RuntimeError, match="requests_issued .* requests_failed"):
         run(replace(SMALL, seed=2, sim_duration=21.0, pending_timeout=1000.0))
 
@@ -189,23 +189,6 @@ def test_baseline_trace_has_no_related_records():
             assert "related=[]" in line
 
 
-def test_injected_correlation_matrix_is_used():
-    cm = [[0] * 5 for _ in range(5)]   # no correlation: every session = {seed}
-    sim = Simulation(replace(SMALL, eta=1.0), cm=cm)
-    assert sim.cm == cm
-    assert all(spec.services == {spec.seed_service} for spec in sim.schedule)
-
-
-@pytest.mark.parametrize("cm, shape", [
-    ([[0] * 6 for _ in range(6)], r"got 6 rows of lengths \[6\]"),
-    ([[0] * 5, [0] * 5, [0] * 4, [0] * 5, [0] * 5], r"got 5 rows of lengths \[4, 5\]"),
-    ([[0] * 5 for _ in range(4)] + [[0, 0, 2, 0, 0]], r"got 5 rows of lengths \[5\]"),
-])
-def test_injected_correlation_matrix_must_fit_the_services(cm, shape):
-    with pytest.raises(ValueError, match=r"cm must be 5x5 with 0/1 cells, " + shape):
-        Simulation(SMALL, cm=cm)
-
-
 def test_paired_workload_identical_across_variants():
     on = Simulation(replace(SMALL, mining_enabled=True))
     off = Simulation(replace(SMALL, mining_enabled=False))
@@ -221,9 +204,9 @@ GOLDEN_DENSE = SimConfig(node_count=20, service_count=8, sessions_per_consumer=2
                          log_overheard=True, mining_enabled=True, sim_duration=210.0,
                          seed=8, support=0.3, mining_interval=5.0, seen_capacity=2,
                          hop_latency=0.3, inter_request_gap=0.3)
-GOLDEN_SLOW_HOPS = replace(SMALL, seed=3, hop_latency=2.0, scan_interval=1.0,
-                           mining_interval=2.0, inter_request_gap=1.0, pending_timeout=30.0,
-                           support=0.3, log_overheard=True)
+GOLDEN_SLOW_HOPS = replace(SMALL, seed=3, hop_latency=2.0, mining_interval=2.0,
+                           inter_request_gap=1.0, pending_timeout=30.0, support=0.3,
+                           log_overheard=True)
 
 
 def test_golden_trace_regression():
@@ -368,13 +351,13 @@ def test_each_mining_tick_visits_every_node_in_id_order():
 @pytest.mark.parametrize("end, due", [(2.5, False), (3.5, True)])
 def test_session_due_exactly_at_a_timer_is_closed_by_it(timer, end, due):
     # No consumers, so the only session is the one planted below: opened at
-    # 0.0, due at 3.0, which is a timer time.  The other timer never runs.
+    # 0.0, due at 3.0, which is a time of both timers.  SCAN runs every
+    # second either way; the mining tick runs only in the "tick" case.
     # Only the mining tick closes sessions by age; SCAN leaves it open.
     # inter_request_gap keeps the config valid: 4 gaps must fit in the window.
     cfg = replace(SMALL, consumer_fraction=0.0, session_window=3.0, sim_duration=end,
-                  inter_request_gap=0.5,
-                  scan_interval=1.0 if timer == "scan" else 100.0,
-                  mining_enabled=(timer == "tick"), mining_interval=1.0)
+                  inter_request_gap=0.5, mining_enabled=(timer == "tick"),
+                  mining_interval=1.0)
     sim = Simulation(cfg)
     sim.nodes[0].log.record_request((99, 0), 1, now=0.0)
     sim.run()
@@ -384,8 +367,7 @@ def test_session_due_exactly_at_a_timer_is_closed_by_it(timer, end, due):
 
 FLOAT_FIELDS = ("field_size", "radio_range", "eta", "support", "session_window",
                 "mining_interval", "sim_duration", "hop_latency", "inter_request_gap",
-                "inter_session_gap", "consumer_fraction", "pending_timeout",
-                "scan_interval")
+                "inter_session_gap", "consumer_fraction", "pending_timeout")
 
 
 def test_float_fields_list_is_complete():

@@ -78,7 +78,7 @@ def test_fifo_law_distinct_inserts(capacity, n):
 
 def test_issue_request_cached_service():
     node = make_node()
-    node.table.insert(rec(3))
+    node._learn(3, 9, 0.0, False)
     out = node.issue_request(3, 0, now=1.0)
     assert out is None
     assert node.metrics.locally_satisfied == 1
@@ -99,7 +99,7 @@ def test_issue_request_miss_broadcasts_full_ttl():
 
 def test_issue_request_piggybacked_hit_counts_prediction():
     node = make_node()
-    node.table.insert(rec(3, piggybacked=True))
+    node._learn(3, 9, 0.0, True)
     node.issue_request(3, 0, now=1.0)
     assert node.metrics.locally_satisfied == 1
     assert node.metrics.prediction_hits == 1
@@ -117,8 +117,8 @@ def test_issue_request_own_service_is_local():
 
 def test_handle_sreq_answers_with_related_from_table():
     node = make_node(nid=2)
-    node.table.insert(rec(3, provider=5))
-    node.table.insert(rec(7, provider=6))
+    node._learn(3, 5, 0.0, False)
+    node._learn(7, 6, 0.0, False)
     node.itemsets = {fs(3, 7): 4}
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     out = node.handle_sreq(sreq, from_node=1, now=2.0)
@@ -132,7 +132,7 @@ def test_handle_sreq_answers_with_related_from_table():
 
 def test_handle_sreq_related_filtered_to_known_services():
     node = make_node(nid=2)
-    node.table.insert(rec(3, provider=5))
+    node._learn(3, 5, 0.0, False)
     node.itemsets = {fs(3, 9): 4}   # 9 is co-frequent but unknown here
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     _, srep = node.handle_sreq(sreq, from_node=1, now=2.0)
@@ -142,7 +142,7 @@ def test_handle_sreq_related_filtered_to_known_services():
 def test_handle_sreq_related_capped_and_ranked():
     node = make_node(nid=2, max_related=2)
     for service, provider in ((3, 5), (6, 1), (7, 1), (8, 1)):
-        node.table.insert(rec(service, provider=provider))
+        node._learn(service, provider, 0.0, False)
     node.itemsets = {fs(3, 6): 2, fs(3, 7): 5, fs(3, 8): 5}
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     _, srep = node.handle_sreq(sreq, from_node=1, now=2.0)
@@ -188,8 +188,8 @@ def test_handle_srep_destined_insert_order_answer_first():
     srep = Srep(responder=2, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6), (9, 6)))
     assert node.handle_srep(srep, from_node=2, now=3.0) is None
-    assert [r.service for r in node.table.records()] == [3, 7, 9]
-    assert [r.piggybacked for r in node.table.records()] == [False, True, True]
+    assert list(node._records) == [3, 7, 9]
+    assert [r.piggybacked for r in node._records.values()] == [False, True, True]
     assert node._pending == {}
 
 
@@ -219,7 +219,7 @@ def test_handle_srep_transit_forwards_and_caches():
     to, fwd = node.handle_srep(srep, from_node=4, now=2.0)
     assert to == 3
     assert fwd.ttl == 7
-    assert [r.service for r in node.table.records()] == [3, 7]
+    assert list(node._records) == [3, 7]
 
 
 def test_handle_srep_unknown_reverse_path_dropped():
@@ -229,7 +229,7 @@ def test_handle_srep_unknown_reverse_path_dropped():
     assert node.handle_srep(srep, from_node=4, now=2.0) is None
     assert node.metrics.packets_dropped == 1
     # The records are still cached (pseudo-broadcast stores on transit too).
-    assert 3 in node.table
+    assert 3 in node._records
 
 
 def test_handle_srep_piggyback_eviction_accounting():
@@ -250,9 +250,9 @@ def test_piggybacked_copy_never_downgrades_direct_record():
     # Another reply piggybacks the same service as a prediction.
     node.handle_srep(Srep(2, 1, (1, 1), 8, answer=(3, 5), related=((7, 2),)),
                      from_node=2, now=2.0)
-    record = node.table.get(7)
+    record = node._records[7]
     assert not record.piggybacked
-    assert [r.service for r in node.table.records()] == [7, 3]
+    assert list(node._records) == [7, 3]
     node.issue_request(7, 0, now=3.0)
     assert node.metrics.locally_satisfied == 1
     assert node.metrics.prediction_hits == 0
@@ -329,7 +329,7 @@ def test_memoized_picks_equal_fresh_ranking_across_remines(first, later, known, 
     node = make_node(nid=2, max_related=max_related, cache_capacity=16, log_capacity=48,
                      log_overheard=True)
     for service in known:
-        node.table.insert(rec(service, provider=20 + service))
+        node._learn(service, 20 + service, 0.0, False)
     miner = lambda txns: mine_frequent_itemsets(txns, support)
     now = 0.0
     for batch, origin in ((first, 5), (later, 6)):
@@ -354,8 +354,8 @@ def test_pick_related_ranks_each_service_once_per_mine(monkeypatch):
 
     monkeypatch.setattr("corrdisc.node.rank_related", counted)
     node = make_node(nid=2, log_overheard=True)
-    node.table.insert(rec(3, provider=5))
-    node.table.insert(rec(7, provider=6))
+    node._learn(3, 5, 0.0, False)
+    node._learn(7, 6, 0.0, False)
     for seq in range(3):
         node.log.record_request((5, seq), 3, now=float(seq))
         node.log.record_request((5, seq), 7, now=float(seq))
@@ -375,7 +375,7 @@ def test_pick_related_ranks_each_service_once_per_mine(monkeypatch):
 def test_baseline_related_always_empty():
     # Without mined itemsets every reply has an empty related list.
     node = make_node(nid=2)
-    node.table.insert(rec(3, provider=5))
+    node._learn(3, 5, 0.0, False)
     _, srep = node.handle_sreq(Sreq(1, 0, 0, 3, 8), from_node=1, now=1.0)
     assert srep.related == ()
 
@@ -436,7 +436,7 @@ def test_learning_matches_inserting_new_records(ops, capacity, hosted):
                 evicted_unused += 1
         srep = Srep(2, 1 if to_me else 3, (1, step), 8, (service, provider), related)
         node.handle_srep(srep, from_node=2, now=now)
-        assert node.table.records() == table.records()
+        assert list(node._records.values()) == table.records()
     assert node.metrics.piggybacked_records_evicted_unused == evicted_unused
     assert node.metrics.locally_satisfied == hits
     assert node.metrics.prediction_hits == predicted
@@ -451,7 +451,7 @@ def test_relayed_packets_are_real_packets():
     assert type(forwarded) is Sreq
     assert forwarded == Sreq(1, 0, 0, 3, 7)
 
-    node.table.insert(rec(4, provider=5))
+    node._learn(4, 5, 0.0, False)
     _, answer = node.handle_sreq(Sreq(1, 1, 0, 4, 8), from_node=1, now=2.0)
     assert type(answer) is Srep
     assert answer == Srep(responder=2, destination=1, in_reply_to=(1, 1), ttl=8,

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from corrdisc.netsim import SimConfig, Simulation, place_nodes
+from corrdisc.netsim import SCAN_INTERVAL, SimConfig, Simulation, place_nodes
 from corrdisc.workload import (EMPTY_SESSION_RETRIES, build_correlation_matrix,
                                build_schedule, candidate_set, consumer_ids,
                                generate_session)
@@ -79,7 +79,7 @@ def pushed_heap(sim):
             heapq.heappush(heap, (spec.start_time + idx * spec.inter_request_gap,
                                   next(seq), Simulation._issue,
                                   (spec.consumer, service, spec.session_seq)))
-    heapq.heappush(heap, (cfg.scan_interval, next(seq), Simulation._scan, ()))
+    heapq.heappush(heap, (SCAN_INTERVAL, next(seq), Simulation._scan, ()))
     if cfg.mining_enabled:
         heapq.heappush(heap, (cfg.mining_interval, next(seq), Simulation._mining_tick, ()))
     return heap
@@ -185,7 +185,7 @@ def test_schedule_matches_scalar_draws(overrides):
     dict(node_count=8, service_count=5, sessions_per_consumer=2, sim_duration=150.0),
     dict(node_count=50, service_count=10, sessions_per_consumer=4, sim_duration=330.0),
     dict(node_count=12, service_count=16, sessions_per_consumer=3, sim_duration=270.0,
-         mining_interval=2.0, scan_interval=0.5),
+         mining_interval=2.0),
 ])
 def test_heapified_schedule_pops_in_push_order(overrides, mining_enabled):
     for seed in range(3):
