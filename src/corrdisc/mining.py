@@ -1,8 +1,11 @@
 """Frequent-itemset mining over logged service sessions.
 
 Transactions are sets of integer service ids.  ``mine_frequent_itemsets``
-mines depth first over vertical bitsets (one transaction mask per item,
-support by popcount of the masks' AND, no candidate generation);
+mines depth first over vertical bitsets (Eclat's tid-sets: one transaction
+mask per item, support by popcount of the masks' AND, no candidate
+generation).  It builds the masks from the transactions, or reads them
+from the caller, as the simulation does from each node's
+``LogDatabase.masks``, which the log keeps up to date across mines;
 ``brute_force_frequent_itemsets`` is the independent oracle that
 enumerates every subset of the item universe and counts containment
 directly.  Both return exact support counts.
@@ -38,25 +41,29 @@ def min_count(fraction: float, n_transactions: int) -> int:
     return max(1, math.ceil(round(fraction * n_transactions, 9)))
 
 
-def mine_frequent_itemsets(transactions: Sequence[Transaction],
-                           support: float) -> ItemsetCounts:
+def mine_frequent_itemsets(transactions: Sequence[Transaction], support: float,
+                           masks: Mapping[ServiceId, int] | None = None) -> ItemsetCounts:
     """All itemsets appearing in at least ceil(support * len(transactions))
     transactions, mapped to their exact support counts.
 
     Empty input yields an empty result.  Singletons are included; the
-    empty itemset is not.
+    empty itemset is not.  ``masks``, when given, must be the vertical
+    bitsets of ``transactions``: one distinct bit per transaction, set in
+    the mask of each of its items, and no other item.  Only popcounts are
+    read, so the result is the same whichever bit each transaction has.
     """
     if not transactions:
         return {}
     threshold = min_count(support, len(transactions))
-    # Bit t of an item's mask is set when transaction t holds the item, so
-    # the support of an itemset is the popcount of its members' AND.
-    masks: dict[ServiceId, int] = {}
-    bit = 1
-    for items in transactions:
-        for item in items:
-            masks[item] = masks.get(item, 0) | bit
-        bit <<= 1
+    if masks is None:
+        # Bit t of an item's mask is set when transaction t holds the item,
+        # so the support of an itemset is the popcount of its members' AND.
+        masks = {}
+        bit = 1
+        for items in transactions:
+            for item in items:
+                masks[item] = masks.get(item, 0) | bit
+            bit <<= 1
     frequent = []
     for item, mask in sorted(masks.items()):
         count = mask.bit_count()

@@ -251,17 +251,19 @@ class Simulation:
     def _trace(self, time: float, kind: str, node: int | str, detail: str) -> None:
         self.trace.append(f"{time:.3f} {kind} {node} {detail}")
 
-    def _miner(self, transactions: list[frozenset[int]]) -> dict[frozenset[int], int]:
-        # Kept because `perfbench/test_perfbench.py` asserts that each distinct
-        # snapshot is mined once.  Since the tick skips logs whose closed
-        # sessions did not change, few snapshots repeat (`perfbench/run.py
+    def _miner(self, transactions: list[frozenset[int]],
+               masks: dict[int, int]) -> dict[frozenset[int], int]:
+        # ``masks`` is the log's kept bitsets of ``transactions``.  The cache
+        # stays because `perfbench/test_perfbench.py` asserts that each
+        # distinct snapshot is mined once; the tick skips logs whose closed
+        # sessions did not change, so few snapshots repeat (`perfbench/run.py
         # --trace 1`: cache_hit_ratio 0.17 on mine_heavy, 0.00 on flood50).  A
         # key holds the frozensets the logs store, not copies, so building
         # and hashing it reuses each set's cached hash.
         key = tuple(transactions)
         cached = self._mine_cache.get(key)
         if cached is None:
-            cached = mine_frequent_itemsets(transactions, self.cfg.support)
+            cached = mine_frequent_itemsets(transactions, self.cfg.support, masks)
             self._mine_cache[key] = cached
         return cached
 
@@ -377,9 +379,11 @@ class Simulation:
             log = node.log
             if log._open:
                 log.close_stale_sessions(time, window)
-            # Only a log whose closed sessions changed needs remine.
+            # Only a log whose closed sessions changed needs remine.  The
+            # miner reads the log's kept masks; nothing keeps the callable,
+            # so the run still makes no reference cycle.
             if log.closed_version != node._mined_from[0]:
-                node.remine(miner)
+                node.remine(lambda transactions: miner(transactions, log.masks))
             if tracing:
                 self._trace(time, MINING_TICK, node.nid,
                             f"txns={node._mined_from[1]} itemsets={len(node.itemsets)}")

@@ -6,6 +6,10 @@ Only closed records feed the mining stage, so a half-observed session
 cannot produce spurious itemsets.  Closing a record freezes its service
 set, so every snapshot of the log hands the miner the same frozenset
 objects for a closed session, and their hashes are computed once.
+The log also keeps the miner's vertical bitsets of its closed records,
+one mask per service (``LogDatabase.masks``), up to date as records
+close and leave, so a re-mine starts from them instead of rebuilding
+them from the snapshot.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ class SessionRecord:
     opened_at: float
     services: set[int] | frozenset[int] = field(default_factory=set)  # frozen on close
     closed: bool = False
+    bit: int = 1  # this record's bit in LogDatabase.masks: 1 << its slot
 
     @property
     def key(self) -> SessionKey:
@@ -38,6 +43,15 @@ class LogDatabase:
     with them ``snapshot_transactions()``, change only when
     ``closed_version`` rises: on every close and on every eviction of a
     closed record.
+
+    ``masks`` maps each service to the bitset of the closed records that
+    hold it, and holds no other service.  A record's bit is its slot, its
+    append count modulo ``capacity``: at most ``capacity`` records are
+    live and their append counts are consecutive, so no two share a bit.
+    Closing a record sets its bit in the masks of its services; evicting a
+    closed record clears it, deleting a mask that becomes 0.  Open records
+    have no bit set.  Support counts are popcounts, so any one-to-one bit
+    assignment mines to the same itemsets as the snapshot's positions.
     """
 
     def __init__(self, capacity: int):
@@ -49,6 +63,8 @@ class LogDatabase:
         # closes the previous.
         self._open: dict[int, SessionRecord] = {}
         self.closed_version = 0
+        self.masks: dict[int, int] = {}
+        self._appended = 0  # records ever appended; mod capacity, the next one's slot
 
     def __len__(self) -> int:
         return len(self._records)
@@ -58,10 +74,13 @@ class LogDatabase:
         return tuple(self._records)
 
     def _close(self, record: SessionRecord) -> None:
-        record.services = frozenset(record.services)
+        services = record.services = frozenset(record.services)
         record.closed = True
         del self._open[record.consumer]
         self.closed_version += 1
+        masks, bit = self.masks, record.bit
+        for service in services:
+            masks[service] = masks.get(service, 0) | bit
 
     def record_request(self, key: SessionKey, service: int, now: float) -> None:
         """Add one request to the open session under ``key``, creating the
@@ -78,9 +97,18 @@ class LogDatabase:
             oldest = self._records.popleft()
             if oldest.closed:
                 self.closed_version += 1
+                masks, bit = self.masks, oldest.bit
+                for old_service in oldest.services:
+                    mask = masks[old_service] ^ bit  # the bit is set: clear it
+                    if mask:
+                        masks[old_service] = mask
+                    else:
+                        del masks[old_service]
             else:
                 del self._open[oldest.consumer]
-        record = SessionRecord(consumer, session_seq, now, {service})
+        record = SessionRecord(consumer, session_seq, now, {service},
+                               bit=1 << (self._appended % self.capacity))
+        self._appended += 1
         self._records.append(record)
         self._open[consumer] = record
 

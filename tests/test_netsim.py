@@ -5,6 +5,8 @@ from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import default_rng
 
 from corrdisc.netsim import (DELIVER, MINING_TICK, Metrics, SimConfig, Simulation,
@@ -95,6 +97,24 @@ def test_conservation_and_sanity_of_counters():
     assert metrics.requests_issued == (metrics.locally_satisfied
                                        + metrics.requests_answered
                                        + metrics.requests_failed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 8), st.booleans(),
+       st.sampled_from((1, 2, 1024)), st.integers(1, 6))
+def test_every_request_not_satisfied_locally_is_one_broadcast(
+        seed, node_count, service_count, log_overheard, seen_capacity, log_capacity):
+    # A small seen memory makes nodes forget ids, and logging overheard
+    # requests fills the logs: neither may make a node originate a flood
+    # for a request it satisfied locally, or none for one it did not.
+    cfg = SimConfig(node_count=node_count, service_count=service_count, seed=seed,
+                    log_overheard=log_overheard, seen_capacity=seen_capacity,
+                    log_capacity=log_capacity, sessions_per_consumer=3,
+                    mining_interval=5.0, sim_duration=200.0)
+    for mining_enabled in (False, True):
+        m = run(replace(cfg, mining_enabled=mining_enabled))
+        assert m.requests_issued > 0
+        assert m.broadcasts_originated == m.requests_issued - m.locally_satisfied
 
 
 def test_broken_conservation_raises_even_under_optimisation(monkeypatch):

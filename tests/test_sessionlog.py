@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrdisc.mining import brute_force_frequent_itemsets, mine_frequent_itemsets
 from corrdisc.sessionlog import LogDatabase
 
 
@@ -223,3 +226,54 @@ def test_snapshot_matches_rebuilt_frozensets(capacity, ops):
         assert all(type(t) is frozenset and t is r.services for t, r in zip(snapshot, closed))
         for r in closed:    # holding r keeps its id from being reused
             assert at_close.setdefault(id(r), (r, frozenset(r.services)))[1] == r.services
+
+
+def _direct_counts(snapshot):
+    """Support of every item and every pair, counted over the snapshot."""
+    items = sorted(set().union(*snapshot))
+    singles = {a: sum(a in t for t in snapshot) for a in items}
+    pairs = {(a, b): sum(a in t and b in t for t in snapshot)
+             for a, b in combinations(items, 2)}
+    return singles, pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.sampled_from((0.3, 0.5, 0.8, 1.0)),
+       st.lists(st.tuples(st.sampled_from((0.0, 0.5, 1.0, 3.0)), st.integers(0, 3),
+                          st.integers(0, 2), st.integers(0, 5), st.booleans()),
+                max_size=50))
+def test_masks_are_the_bitsets_of_the_closed_records(capacity, support, ops):
+    # Few consumers that come back under new session numbers, a short
+    # window and small capacities: sessions close by the consumer's next
+    # session, by age and not at all (evicted while open), and closed
+    # records are evicted.
+    db = LogDatabase(capacity)
+    now = 0.0
+    for step, consumer, seq, service, scan in ops:
+        now += step
+        if scan:
+            db.close_stale_sessions(now, 2.0)
+        else:
+            db.record_request((consumer, seq), service, now)
+        snapshot = db.snapshot_transactions()
+        singles, pairs = _direct_counts(snapshot) if snapshot else ({}, {})
+        assert {item: mask.bit_count() for item, mask in db.masks.items()} == singles
+        assert all(mask for mask in db.masks.values())
+        for (a, b), count in pairs.items():
+            assert (db.masks[a] & db.masks[b]).bit_count() == count
+        kept = mine_frequent_itemsets(snapshot, support, db.masks)
+        assert kept == mine_frequent_itemsets(snapshot, support)
+        assert kept == brute_force_frequent_itemsets(snapshot, support)
+
+
+def test_masks_follow_closing_and_eviction():
+    db = LogDatabase(2)
+    db.record_request((1, 0), 5, now=0.0)
+    db.record_request((1, 0), 6, now=1.0)
+    assert db.masks == {}                      # an open record has no bit set
+    db.record_request((1, 1), 5, now=2.0)      # closes (1, 0) in slot 0
+    assert db.masks == {5: 0b01, 6: 0b01}
+    db.record_request((1, 2), 7, now=3.0)      # closes (1, 1) in slot 1, evicts (1, 0)
+    assert db.masks == {5: 0b10}
+    db.close_stale_sessions(now=50.0, session_window=10.0)   # (1, 2) took slot 0
+    assert db.masks == {5: 0b10, 7: 0b01}
