@@ -1,20 +1,16 @@
 """Command-line entry points.
 
-    corrdisc run config.txt --out results.csv [--jobs N] [--trace DIR]
+    corrdisc run config.txt [--out results.csv] [--jobs N] [--trace DIR]
     corrdisc mine transactions.txt 0.8 [--oracle]
     corrdisc gen-cm 10 42
 
-``CORRDISC_LOG`` (debug/info/warning/error, any case) sets diagnostic
-verbosity; any other value is an error (exit 2).
-Simulation defaults are overridable in the config file only; the flags
-above are the only command-line overrides.
+The config file alone sets the simulation and its seeds; the flags set
+only where output goes and how many workers run, and override no key.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 
 from .experiment import ConfigError, format_summary, parse_config, run_experiment, write_csv
@@ -23,18 +19,6 @@ from .mining import (brute_force_frequent_itemsets, mine_frequent_itemsets,
 from .netsim import substreams
 from .packets import ID_LIMIT
 from .workload import build_correlation_matrix, cm_to_text
-
-
-def _setup_logging() -> bool:
-    """Configure logging from ``CORRDISC_LOG``; False if it names no level."""
-    level = os.environ.get("CORRDISC_LOG", "warning")
-    if level.lower() not in ("debug", "info", "warning", "error"):
-        print(f"error: CORRDISC_LOG must be debug|info|warning|error, got {level!r}",
-              file=sys.stderr)
-        return False
-    logging.basicConfig(level=level.upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
-    return True
 
 
 def _cmd_run(args) -> int:
@@ -50,19 +34,18 @@ def _cmd_run(args) -> int:
     except (ConfigError, UnicodeDecodeError) as exc:
         print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 2
-    out = args.out or spec.output or "results.csv"
     try:
         rows = run_experiment(spec, jobs=args.jobs, trace_dir=args.trace)
     except Exception as exc:  # a failed run must not exit 0
         print(f"error: experiment failed: {exc}", file=sys.stderr)
         return 1
     try:
-        write_csv(rows, out)
+        write_csv(rows, args.out)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
     print(format_summary(rows))
-    print(f"wrote {len(rows)} rows to {out}")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
@@ -117,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a paired mining-on/off seed sweep")
     p_run.add_argument("config", help="key = value experiment config file")
-    p_run.add_argument("--out", help="CSV output path (default results.csv)")
+    p_run.add_argument("--out", default="results.csv",
+                       help="CSV output path (default %(default)s)")
     p_run.add_argument("--jobs", type=int, default=1,
                        help="parallel worker processes")
     p_run.add_argument("--trace", help="directory for per-run event traces")
@@ -140,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if not _setup_logging():
-        return 2
     args = build_parser().parse_args(argv)
     return args.func(args)
 

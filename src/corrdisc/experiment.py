@@ -8,15 +8,12 @@ their satisfaction ratios compare like-for-like.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 from .netsim import Metrics, SimConfig, run
-
-log = logging.getLogger("corrdisc")
 
 VARIANTS = ("mining_off", "mining_on")
 
@@ -33,7 +30,6 @@ class ExperimentSpec:
     base: SimConfig
     seeds: tuple[int, ...]
     variants: tuple[str, ...] = VARIANTS
-    output: str | None = None
 
     def validate(self) -> None:
         if not self.seeds:
@@ -65,6 +61,12 @@ class RunRow:
 _CONFIG_FIELDS = {f.name: f.type for f in fields(SimConfig)}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
+# Keys a config may not set, each with what sets it instead.
+_NOT_KEYS = {
+    "mining_enabled": "is set by each run's variant; choose them with 'variants' instead",
+    "seed": "is set by each run from 'seeds'; list the seeds there instead",
+    "out": "is not a config key; give the CSV path with --out instead",
+}
 
 
 def _parse_value(key: str, raw: str, lineno: int):
@@ -79,31 +81,29 @@ def _parse_value(key: str, raw: str, lineno: int):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if key == "field_size":
-            parts = raw.replace("x", " ").split()
-            if len(parts) != 2:
-                raise ValueError(f"expected WIDTHxHEIGHT, got {raw!r}")
-            return (float(parts[0]), float(parts[1]))
+        # field_size, the one field of another type.
+        parts = raw.replace("x", " ").split()
+        if len(parts) != 2:
+            raise ValueError(f"expected WIDTHxHEIGHT, got {raw!r}")
+        return (float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    raise ConfigError(f"line {lineno}: key {key!r} is not settable")
 
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse ``key = value`` experiment configuration.
 
-    Keys are SimConfig field names plus ``seeds`` (comma list),
-    ``variants`` (comma list) and ``out`` (output path); ``#`` starts a
-    comment.  ``node_count`` and ``service_count`` are required, all other
-    keys default.  Each key may be set once.  ``mining_enabled`` is not a
-    key, since each variant sets it, and ``seed`` may not be given with
-    ``seeds``, which would override it.
+    Keys are SimConfig field names plus ``seeds`` (comma list, default
+    ``0``) and ``variants`` (comma list); ``#`` starts a comment.
+    ``node_count`` and ``service_count`` are required, all other keys
+    default.  Each key may be set once.  ``seed`` and ``mining_enabled``
+    are not keys, since each run sets them from its seed and variant, and
+    nor is ``out``: the CSV path comes from ``corrdisc run --out``.
     """
     first_line: dict[str, int] = {}
     overrides: dict = {}
-    seeds: tuple[int, ...] | None = None
+    seeds: tuple[int, ...] = (0,)
     variants: tuple[str, ...] = VARIANTS
-    output: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,18 +126,12 @@ def parse_config(text: str) -> ExperimentSpec:
                                   f"of integers, got {value!r}") from None
         elif key == "variants":
             variants = tuple(tok.strip() for tok in value.split(","))
-        elif key == "out":
-            output = value
-        elif key == "mining_enabled":
-            raise ConfigError(f"line {lineno}: key 'mining_enabled' is set by each run's "
-                              f"variant; choose them with 'variants' instead")
+        elif key in _NOT_KEYS:
+            raise ConfigError(f"line {lineno}: key {key!r} {_NOT_KEYS[key]}")
         elif key in _CONFIG_FIELDS:
             overrides[key] = _parse_value(key, value, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    if seeds is not None and "seed" in overrides:
-        raise ConfigError(f"key 'seed' (line {first_line['seed']}) is ignored when 'seeds' "
-                          f"(line {first_line['seeds']}) is given; set only one of them")
     for required in ("node_count", "service_count"):
         if required not in overrides:
             raise ConfigError(f"missing required key {required!r}")
@@ -146,8 +140,7 @@ def parse_config(text: str) -> ExperimentSpec:
         base.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    spec = ExperimentSpec(base=base, seeds=seeds if seeds is not None else (base.seed,),
-                          variants=variants, output=output)
+    spec = ExperimentSpec(base=base, seeds=seeds, variants=variants)
     spec.validate()
     return spec
 
@@ -168,8 +161,6 @@ def _run_one(args: tuple[SimConfig, int, str, str | None]) -> RunRow:
         path = os.path.join(trace_dir, f"seed{seed}_{variant}.trace")
         with open(path, "w") as fh:
             fh.writelines(f"{line}\n" for line in trace)
-    log.debug("seed=%d variant=%s issued=%d satisfied=%d", seed, variant,
-              metrics.requests_issued, metrics.locally_satisfied)
     return RunRow(seed, variant, metrics)
 
 

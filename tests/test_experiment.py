@@ -1,6 +1,7 @@
 import csv
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +52,7 @@ def test_parse_bad_value_names_line():
 
 @pytest.mark.parametrize("key,first,again", [
     ("node_count", "4", "9"), ("eta", "0.5", "0.5"), ("seeds", "1", "2,3"),
-    ("variants", "mining_on", "mining_off"), ("out", "a.csv", "b.csv"),
+    ("variants", "mining_on", "mining_off"),
 ])
 def test_parse_rejects_a_repeated_key(key, first, again):
     # A repeated key is an error even when both values agree; the last one
@@ -72,15 +73,17 @@ def test_parse_comments_bools_field_size_and_out():
     consumer_fraction = 0.5
     log_overheard = true
     field_size = 400x300
-    out = results/foo.csv
     variants = mining_on
     """
     spec = parse_config(text)
     assert spec.base.consumer_fraction == 0.5
     assert spec.base.log_overheard is True
     assert spec.base.field_size == (400.0, 300.0)
-    assert spec.output == "results/foo.csv"
     assert spec.variants == ("mining_on",)
+    # The CSV path comes only from `corrdisc run --out`.
+    with pytest.raises(ConfigError, match="line 9: key 'out' is not a config key; "
+                                          "give the CSV path with --out"):
+        parse_config(text + "out = results/foo.csv\n")
 
 
 def test_parse_rejects_unknown_variant():
@@ -88,21 +91,54 @@ def test_parse_rejects_unknown_variant():
         parse_config("node_count = 4\nservice_count = 2\nvariants = magic\n")
 
 
-def test_seeds_default_to_base_seed():
-    spec = parse_config("node_count = 4\nservice_count = 2\nseed = 7\n")
-    assert spec.seeds == (7,)
+def test_seeds_default_to_zero():
+    spec = parse_config("node_count = 4\nservice_count = 2\n")
+    assert spec.seeds == (0,)
 
 
 @pytest.mark.parametrize("text, message", [
     # Each run's variant sets mining_enabled, so the key would be ignored.
     ("mining_enabled = off\n", "line 3: key 'mining_enabled' is set by each run's variant"),
-    # seeds overrides seed, which would be dropped.
-    ("seed = 5\nseeds = 0,1\n", "key 'seed' (line 3) is ignored when 'seeds' (line 4)"),
-    ("seeds = 0,1\nseed = 5\n", "key 'seed' (line 4) is ignored when 'seeds' (line 3)"),
+    # Each run sets seed from seeds, whether or not the config lists them.
+    ("seed = 5\nseeds = 0,1\n", "key 'seed' is set by each run from 'seeds'"),
+    ("seeds = 0,1\nseed = 5\n", "key 'seed' is set by each run from 'seeds'"),
+    ("seed = 5\n", "line 3: key 'seed' is set by each run from 'seeds'"),
+    # The CSV path is set on the command line.
+    ("out = a.csv\n", "line 3: key 'out' is not a config key; give the CSV path with --out"),
 ])
 def test_parse_rejects_keys_that_would_be_ignored(text, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config("node_count = 4\nservice_count = 2\n" + text)
+
+
+# The SimConfig fields that each run sets, so no config may.
+RUN_SET_FIELDS = {"seed", "mining_enabled"}
+
+
+def test_parse_reads_every_settable_field():
+    # Each field's default, written out as text, parses back to itself with
+    # its type: a new field of a type the parser cannot read fails here.
+    for field in fields(SimConfig):
+        if field.name in RUN_SET_FIELDS:
+            continue
+        value = 3 if field.default is MISSING else field.default
+        if isinstance(value, tuple):
+            text = "x".join(str(side) for side in value)
+        else:
+            text = str(value).lower()
+        lines = {"node_count": "4", "service_count": "2", field.name: text}
+        spec = parse_config("".join(f"{key} = {raw}\n" for key, raw in lines.items()))
+        parsed = getattr(spec.base, field.name)
+        assert (parsed, type(parsed)) == (value, type(value)), field.name
+
+
+def test_readme_config_table_lists_every_settable_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert len(listed) == len(set(listed))
+    settable = {field.name for field in fields(SimConfig)} - RUN_SET_FIELDS
+    assert set(listed) | {"node_count", "service_count"} == settable
 
 
 # -- running -------------------------------------------------------------------
