@@ -6,12 +6,12 @@ to the engine leaves each run the same.
     python3 scripts/trace_digest.py --check digest.jsonl
 
 Runs the benchmark's flood50 and mine_heavy configs (taken from
-``perfbench/run.py``), the 20-node default config and a ``churn`` config
-at root seeds 0, 3 and 7, both variants, each once traced
-(``run(config, trace=[])``) and once untraced, and fails if the two
-disagree on ``Metrics``.  Prints one JSON line per run: the config name,
-seed, variant, the trace's sha256 (of its lines joined by newlines, as
-the golden tests hash it), its line count and the metrics.  Two
+``perfbench/run.py``), the 20-node default config, a ``churn`` config and
+a ``forgetful`` config at root seeds 0, 3 and 7, both variants (30 runs),
+each once traced (``run(config, trace=[])``) and once untraced, and fails
+if the two disagree on ``Metrics``.  Prints one JSON line per run: the
+config name, seed, variant, the trace's sha256 (of its lines joined by
+newlines, as the golden tests hash it), its line count and the metrics.  Two
 checkouts behave the same on these runs when their outputs are
 identical.  With ``--check FILE`` it prints no digests but compares each
 run's with the line saved in FILE, names every run that differs (or
@@ -41,13 +41,20 @@ def configs() -> dict[str, SimConfig]:
     return {"flood50": bench.WORKLOADS["flood50"].base_config(),
             "mine_heavy": bench.WORKLOADS["mine_heavy"].base_config(),
             "default20": SimConfig(node_count=20, service_count=10),
-            # The others never close a session by its consumer's next one
-            # and never evict an open record; a small overheard log with
+            # The configs above never close a session by its consumer's next
+            # one and never evict an open record; a small overheard log with
             # sessions 20 s apart (less than session_window) does both.
             "churn": SimConfig(node_count=20, service_count=10, log_overheard=True,
                                log_capacity=4, inter_session_gap=20.0,
                                mining_interval=7.0, support=0.4,
-                               sessions_per_consumer=12, sim_duration=300.0)}
+                               sessions_per_consumer=12, sim_duration=300.0),
+            # GOLDEN_DENSE's settings (tests/test_netsim.py) at the digest
+            # seeds: a two-entry seen memory makes relays forget ids, handle
+            # later copies again and drop replies.
+            "forgetful": SimConfig(node_count=20, service_count=8, sessions_per_consumer=2,
+                                   log_overheard=True, sim_duration=210.0, support=0.3,
+                                   mining_interval=5.0, seen_capacity=2, hop_latency=0.3,
+                                   inter_request_gap=0.3)}
 
 
 def digest(config: SimConfig) -> dict:

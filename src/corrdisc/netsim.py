@@ -346,7 +346,7 @@ class Simulation:
                     (to,) = recipients
                     if tracing:
                         self._trace(time, DELIVER, to, detail)
-                    emission = Node.handle_srep(nodes[to], packet, from_node, time)
+                    emission = Node.handle_srep(nodes[to], packet)
                     if emission is not None:
                         unicast(to, emission[0], emission[1], time)
             if heap[0] >= end:
@@ -357,12 +357,12 @@ class Simulation:
     # -- timers: each is fire(self, time, *payload) and pushes its successor last
 
     def _issue(self, time: float, consumer: int, service: int, session_seq: int) -> None:
-        emission = self.nodes[consumer].issue_request(service, session_seq, time)
+        sreq = self.nodes[consumer].issue_request(service, session_seq, time)
         if self.trace is not None:
             self._trace(time, ISSUE, consumer,
-                        f"svc={service} session={session_seq} local={int(emission is None)}")
-        if emission is not None:
-            self.deliver_broadcast(consumer, emission[1], time)
+                        f"svc={service} session={session_seq} local={int(sreq is None)}")
+        if sreq is not None:
+            self.deliver_broadcast(consumer, sreq, time)
 
     def _scan(self, time: float) -> None:
         expired = 0

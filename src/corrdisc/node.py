@@ -3,10 +3,11 @@
 A node owns a bounded FIFO service table, the circular session log, the
 latest mined itemsets, duplicate-suppression and reverse-path memory for
 flooded requests, and the pending-request bookkeeping behind the
-locally-satisfied metric.  Each handler returns at most one packet to
-send, as one ``(next_hop, packet)`` pair (``next_hop=None`` meaning
-broadcast), or ``None`` when it sends nothing; the simulation layer does
-the actual delivery.
+locally-satisfied metric.  ``issue_request`` returns the ``Sreq`` to
+flood, or ``None`` when the node answers itself.  ``handle_sreq`` and
+``handle_srep`` return one ``(next_hop, packet)`` pair to send
+(``next_hop=None`` meaning broadcast), or ``None``; the simulation layer
+does the delivery.  A reply goes to the upstream hop stored for its request.
 
 Every node a reply passes learns its records (``Node._learn``).  A run
 relays replies hundreds of thousands of times, so each hop is kept cheap:
@@ -38,7 +39,6 @@ _new_packet = tuple.__new__  # _new_packet(Srep, fields) is a real Srep
 class ServiceRecord:
     service: int
     provider: int
-    learned_at: float
     piggybacked: bool = False  # learned as a prediction, not a direct answer
     used: bool = False
 
@@ -119,12 +119,12 @@ class Node:
 
     def host_service(self, service: int) -> None:
         """Preload a service this node provides; pinned, never evicted."""
-        self.own_services[service] = ServiceRecord(service, self.nid, 0.0)
+        self.own_services[service] = ServiceRecord(service, self.nid)
 
     def lookup(self, service: int) -> ServiceRecord | None:
         return self.own_services.get(service) or self._records.get(service)
 
-    def _learn(self, service: int, provider: int, now: float, piggybacked: bool) -> None:
+    def _learn(self, service: int, provider: int, piggybacked: bool) -> None:
         """Cache one record of a reply, as ``ServiceTable.insert`` of a new
         ``ServiceRecord`` would: a known service is overwritten in place,
         keeping its FIFO position, and a new one evicts the oldest record
@@ -137,7 +137,6 @@ class Node:
             if piggybacked and not record.piggybacked:
                 return  # a prediction never downgrades a directly learned record
             record.provider = provider
-            record.learned_at = now
             record.piggybacked = piggybacked
             record.used = False
             return
@@ -145,20 +144,20 @@ class Node:
             evicted = records.pop(next(iter(records)))
             if evicted.piggybacked and not evicted.used:
                 self.metrics.piggybacked_records_evicted_unused += 1
-        records[service] = ServiceRecord(service, provider, now, piggybacked)
+        records[service] = ServiceRecord(service, provider, piggybacked)
 
     # -- duplicate suppression / reverse path ------------------------------
 
-    def _remember(self, msg_id: MsgId, upstream: int | None) -> None:
+    def _remember(self, msg_id: MsgId) -> None:  # an id this node originated
         seen = self._seen
         if len(seen) >= self._seen_capacity:
             del seen[self._seen_order.popleft()]
-        seen[msg_id] = upstream
+        seen[msg_id] = None
         self._seen_order.append(msg_id)
 
     # -- protocol handlers --------------------------------------------------
 
-    def issue_request(self, service: int, session_seq: int, now: float) -> Emission | None:
+    def issue_request(self, service: int, session_seq: int, now: float) -> Sreq | None:
         m = self.metrics
         m.requests_issued += 1
         if self._log_requests:
@@ -173,10 +172,10 @@ class Node:
         seq = self._next_seq
         self._next_seq += 1
         sreq = Sreq(self.nid, seq, session_seq, service, self._initial_ttl)
-        self._remember(sreq.msg_id, None)
+        self._remember(sreq.msg_id)
         self._pending[sreq.msg_id] = now
         m.broadcasts_originated += 1
-        return None, sreq
+        return sreq
 
     def handle_sreq(self, sreq: Sreq, from_node: int, now: float) -> Emission | None:
         """Handle a request whose id the node has not seen; the caller
@@ -204,17 +203,19 @@ class Node:
             return None, _new_packet(Sreq, (origin, seq, session_seq, requested, ttl - 1))
         return None
 
-    def handle_srep(self, srep: Srep, from_node: int, now: float) -> Emission | None:
+    def handle_srep(self, srep: Srep) -> Emission | None:
         responder, destination, in_reply_to, ttl, answer, related = srep
-        self._learn(answer[0], answer[1], now, False)
+        self._learn(answer[0], answer[1], False)
         for rel_service, rel_provider in related:
-            self._learn(rel_service, rel_provider, now, True)
+            self._learn(rel_service, rel_provider, True)
         if destination == self.nid:
             # Only the first reply answers the request; later ones find
             # nothing pending.
             if self._pending.pop(in_reply_to, None) is not None:
                 self.metrics.requests_answered += 1
             return None
+        # A relay that forgot the id and then handled a later copy stored a
+        # new upstream, so a reverse path can loop; the TTL ends the loop.
         upstream = self._seen.get(in_reply_to)
         if upstream is None or ttl <= 0:
             self.metrics.packets_dropped += 1

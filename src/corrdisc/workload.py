@@ -24,7 +24,6 @@ EMPTY_SESSION_RETRIES = 100
 class SessionSpec(NamedTuple):
     consumer: int
     session_seq: int
-    seed_service: int
     services: frozenset[int]
     start_time: float
     inter_request_gap: float
@@ -93,7 +92,6 @@ def build_schedule(config: "SimConfig", cm: CorrelationMatrix, rng) -> list[Sess
             specs.append(SessionSpec(
                 consumer=consumer,
                 session_seq=j,
-                seed_service=seed_service,
                 services=frozenset(services),
                 start_time=k * stagger + j * config.inter_session_gap,
                 inter_request_gap=config.inter_request_gap,

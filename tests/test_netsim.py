@@ -641,6 +641,27 @@ def test_every_reply_hop_is_between_neighbours(cfg):
         assert int(to.removeprefix("to=")) in sim.topology.adjacency[int(sender)]
 
 
+@pytest.mark.parametrize("seen_capacity", [1, 2])
+def test_forgetful_relays_drop_replies_of_both_kinds(seen_capacity, monkeypatch):
+    # A relay that forgot a request's id has no upstream for its reply.  One
+    # that forgot it and then handled a later copy stored a new upstream, so
+    # a reverse path can loop until the reply's TTL runs out.
+    original = Node.handle_srep
+    drops = Counter()
+
+    def spy(node, srep):
+        out = original(node, srep)
+        if out is None and srep.destination != node.nid:
+            known = node._seen.get(srep.in_reply_to) is not None
+            drops["ttl" if known else "forgotten"] += 1
+        return out
+
+    monkeypatch.setattr(Node, "handle_srep", spy)
+    metrics = Simulation(replace(GOLDEN_DENSE, seen_capacity=seen_capacity)).run()
+    assert drops["ttl"] > 0 and drops["forgotten"] > 0
+    assert drops["ttl"] + drops["forgotten"] == metrics.packets_dropped
+
+
 @pytest.mark.parametrize("log_overheard", [False, True])
 def test_mining_off_nodes_keep_no_session_log(log_overheard):
     cfg = replace(SMALL, log_overheard=log_overheard)

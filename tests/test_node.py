@@ -12,8 +12,8 @@ def make_node(nid=0, **overrides) -> Node:
     return Node(nid, cfg, Metrics())
 
 
-def rec(service, provider=9, when=0.0, piggybacked=False):
-    return ServiceRecord(service, provider, when, piggybacked)
+def rec(service, provider=9, piggybacked=False):
+    return ServiceRecord(service, provider, piggybacked)
 
 
 def fs(*items):
@@ -78,7 +78,7 @@ def test_fifo_law_distinct_inserts(capacity, n):
 
 def test_issue_request_cached_service():
     node = make_node()
-    node._learn(3, 9, 0.0, False)
+    node._learn(3, 9, False)
     out = node.issue_request(3, 0, now=1.0)
     assert out is None
     assert node.metrics.locally_satisfied == 1
@@ -87,9 +87,7 @@ def test_issue_request_cached_service():
 
 def test_issue_request_miss_broadcasts_full_ttl():
     node = make_node()
-    out = node.issue_request(3, 0, now=1.0)
-    to, sreq = out
-    assert to is None
+    sreq = node.issue_request(3, 0, now=1.0)
     assert sreq == Sreq(origin=0, seq=0, session_seq=0, requested=3,
                         ttl=node.cfg.initial_ttl)
     assert node.metrics.broadcasts_originated == 1
@@ -99,7 +97,7 @@ def test_issue_request_miss_broadcasts_full_ttl():
 
 def test_issue_request_piggybacked_hit_counts_prediction():
     node = make_node()
-    node._learn(3, 9, 0.0, True)
+    node._learn(3, 9, True)
     node.issue_request(3, 0, now=1.0)
     assert node.metrics.locally_satisfied == 1
     assert node.metrics.prediction_hits == 1
@@ -117,8 +115,8 @@ def test_issue_request_own_service_is_local():
 
 def test_handle_sreq_answers_with_related_from_table():
     node = make_node(nid=2)
-    node._learn(3, 5, 0.0, False)
-    node._learn(7, 6, 0.0, False)
+    node._learn(3, 5, False)
+    node._learn(7, 6, False)
     node.itemsets = {fs(3, 7): 4}
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     out = node.handle_sreq(sreq, from_node=1, now=2.0)
@@ -132,7 +130,7 @@ def test_handle_sreq_answers_with_related_from_table():
 
 def test_handle_sreq_related_filtered_to_known_services():
     node = make_node(nid=2)
-    node._learn(3, 5, 0.0, False)
+    node._learn(3, 5, False)
     node.itemsets = {fs(3, 9): 4}   # 9 is co-frequent but unknown here
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     _, srep = node.handle_sreq(sreq, from_node=1, now=2.0)
@@ -142,7 +140,7 @@ def test_handle_sreq_related_filtered_to_known_services():
 def test_handle_sreq_related_capped_and_ranked():
     node = make_node(nid=2, max_related=2)
     for service, provider in ((3, 5), (6, 1), (7, 1), (8, 1)):
-        node._learn(service, provider, 0.0, False)
+        node._learn(service, provider, False)
     node.itemsets = {fs(3, 6): 2, fs(3, 7): 5, fs(3, 8): 5}
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     _, srep = node.handle_sreq(sreq, from_node=1, now=2.0)
@@ -187,7 +185,7 @@ def test_handle_srep_destined_insert_order_answer_first():
     node._pending[(1, 0)] = 0.0
     srep = Srep(responder=2, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6), (9, 6)))
-    assert node.handle_srep(srep, from_node=2, now=3.0) is None
+    assert node.handle_srep(srep) is None
     assert list(node._records) == [3, 7, 9]
     assert [r.piggybacked for r in node._records.values()] == [False, True, True]
     assert node._pending == {}
@@ -195,16 +193,16 @@ def test_handle_srep_destined_insert_order_answer_first():
 
 def test_only_the_first_reply_answers_a_request():
     node = make_node(nid=1)
-    _, sreq = node.issue_request(3, 0, now=0.0)
+    sreq = node.issue_request(3, 0, now=0.0)
     for responder in (2, 4):
         srep = Srep(responder=responder, destination=1, in_reply_to=sreq.msg_id,
                     ttl=8, answer=(3, 5))
-        assert node.handle_srep(srep, from_node=responder, now=1.0) is None
+        assert node.handle_srep(srep) is None
     assert node.metrics.requests_answered == 1
     # A reply that arrives after the request timed out answers nothing.
-    _, late = node.issue_request(6, 0, now=2.0)
+    late = node.issue_request(6, 0, now=2.0)
     assert node.expire_pending(now=10.0) == 1
-    node.handle_srep(Srep(2, 1, late.msg_id, 8, answer=(6, 5)), from_node=2, now=11.0)
+    node.handle_srep(Srep(2, 1, late.msg_id, 8, answer=(6, 5)))
     assert node.metrics.requests_answered == 1
     assert node.metrics.requests_failed == 1
 
@@ -216,7 +214,7 @@ def test_handle_srep_transit_forwards_and_caches():
                      from_node=3, now=1.0)
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6),))
-    to, fwd = node.handle_srep(srep, from_node=4, now=2.0)
+    to, fwd = node.handle_srep(srep)
     assert to == 3
     assert fwd.ttl == 7
     assert list(node._records) == [3, 7]
@@ -226,9 +224,20 @@ def test_handle_srep_unknown_reverse_path_dropped():
     node = make_node(nid=2)
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 99), ttl=8,
                 answer=(3, 5))
-    assert node.handle_srep(srep, from_node=4, now=2.0) is None
+    assert node.handle_srep(srep) is None
     assert node.metrics.packets_dropped == 1
     # The records are still cached (pseudo-broadcast stores on transit too).
+    assert 3 in node._records
+
+
+def test_handle_srep_out_of_ttl_dropped():
+    # The relay knows the reverse path, but the reply has no hops left.
+    node = make_node(nid=2)
+    node.handle_sreq(Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8),
+                     from_node=3, now=1.0)
+    srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=0, answer=(3, 5))
+    assert node.handle_srep(srep) is None
+    assert node.metrics.packets_dropped == 1
     assert 3 in node._records
 
 
@@ -236,20 +245,18 @@ def test_handle_srep_piggyback_eviction_accounting():
     node = make_node(nid=1, cache_capacity=5)
     srep = Srep(responder=2, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6),))
-    node.handle_srep(srep, from_node=2, now=3.0)
+    node.handle_srep(srep)
     # Flood the table so the unused piggybacked record for 7 is evicted.
     for service in (10, 11, 12, 13, 14):
-        node.handle_srep(Srep(2, 1, (1, 0), 8, answer=(service, 5)),
-                         from_node=2, now=4.0)
+        node.handle_srep(Srep(2, 1, (1, 0), 8, answer=(service, 5)))
     assert node.metrics.piggybacked_records_evicted_unused == 1
 
 
 def test_piggybacked_copy_never_downgrades_direct_record():
     node = make_node(nid=1)
-    node.handle_srep(Srep(2, 1, (1, 0), 8, answer=(7, 2)), from_node=2, now=1.0)
+    node.handle_srep(Srep(2, 1, (1, 0), 8, answer=(7, 2)))
     # Another reply piggybacks the same service as a prediction.
-    node.handle_srep(Srep(2, 1, (1, 1), 8, answer=(3, 5), related=((7, 2),)),
-                     from_node=2, now=2.0)
+    node.handle_srep(Srep(2, 1, (1, 1), 8, answer=(3, 5), related=((7, 2),)))
     record = node._records[7]
     assert not record.piggybacked
     assert list(node._records) == [7, 3]
@@ -329,7 +336,7 @@ def test_memoized_picks_equal_fresh_ranking_across_remines(first, later, known, 
     node = make_node(nid=2, max_related=max_related, cache_capacity=16, log_capacity=48,
                      log_overheard=True)
     for service in known:
-        node._learn(service, 20 + service, 0.0, False)
+        node._learn(service, 20 + service, False)
     miner = lambda txns: mine_frequent_itemsets(txns, support)
     now = 0.0
     for batch, origin in ((first, 5), (later, 6)):
@@ -354,8 +361,8 @@ def test_pick_related_ranks_each_service_once_per_mine(monkeypatch):
 
     monkeypatch.setattr("corrdisc.node.rank_related", counted)
     node = make_node(nid=2, log_overheard=True)
-    node._learn(3, 5, 0.0, False)
-    node._learn(7, 6, 0.0, False)
+    node._learn(3, 5, False)
+    node._learn(7, 6, False)
     for seq in range(3):
         node.log.record_request((5, seq), 3, now=float(seq))
         node.log.record_request((5, seq), 7, now=float(seq))
@@ -375,7 +382,7 @@ def test_pick_related_ranks_each_service_once_per_mine(monkeypatch):
 def test_baseline_related_always_empty():
     # Without mined itemsets every reply has an empty related list.
     node = make_node(nid=2)
-    node._learn(3, 5, 0.0, False)
+    node._learn(3, 5, False)
     _, srep = node.handle_sreq(Sreq(1, 0, 0, 3, 8), from_node=1, now=1.0)
     assert srep.related == ()
 
@@ -425,8 +432,8 @@ def test_learning_matches_inserting_new_records(ops, capacity, hosted):
             continue
         _, service, provider, related, to_me = op
         related = tuple((s, p) for s, p in related if s != service)
-        for record in (ServiceRecord(service, provider, now),
-                       *(ServiceRecord(s, p, now, piggybacked=True) for s, p in related)):
+        for record in (ServiceRecord(service, provider),
+                       *(ServiceRecord(s, p, piggybacked=True) for s, p in related)):
             current = table.get(record.service)
             if record.service in hosted or (record.piggybacked and current is not None
                                             and not current.piggybacked):
@@ -435,7 +442,7 @@ def test_learning_matches_inserting_new_records(ops, capacity, hosted):
             if evicted is not None and evicted.piggybacked and not evicted.used:
                 evicted_unused += 1
         srep = Srep(2, 1 if to_me else 3, (1, step), 8, (service, provider), related)
-        node.handle_srep(srep, from_node=2, now=now)
+        node.handle_srep(srep)
         assert list(node._records.values()) == table.records()
     assert node.metrics.piggybacked_records_evicted_unused == evicted_unused
     assert node.metrics.locally_satisfied == hits
@@ -451,7 +458,7 @@ def test_relayed_packets_are_real_packets():
     assert type(forwarded) is Sreq
     assert forwarded == Sreq(1, 0, 0, 3, 7)
 
-    node._learn(4, 5, 0.0, False)
+    node._learn(4, 5, False)
     _, answer = node.handle_sreq(Sreq(1, 1, 0, 4, 8), from_node=1, now=2.0)
     assert type(answer) is Srep
     assert answer == Srep(responder=2, destination=1, in_reply_to=(1, 1), ttl=8,
@@ -459,6 +466,6 @@ def test_relayed_packets_are_real_packets():
 
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6),))
-    _, relayed = node.handle_srep(srep, from_node=4, now=3.0)
+    _, relayed = node.handle_srep(srep)
     assert type(relayed) is Srep
     assert relayed == srep._replace(ttl=7)

@@ -53,8 +53,8 @@ def scalar_generate_session(seed_service, candidates, eta, rng):
 
 
 def scalar_schedule(config, cm, rng):
-    """(consumer, session_seq, seed_service, services, start_time, gap) per
-    session, reading each session's candidate column afresh."""
+    """(consumer, session_seq, services, start_time, gap) per session,
+    reading each session's candidate column afresh."""
     consumers = consumer_ids(config)
     specs = []
     if not consumers:
@@ -65,7 +65,7 @@ def scalar_schedule(config, cm, rng):
             seed_service = int(rng.integers(config.service_count))
             services = scalar_generate_session(
                 seed_service, candidate_set(seed_service, cm), config.eta, rng)
-            specs.append((consumer, j, seed_service, frozenset(services),
+            specs.append((consumer, j, frozenset(services),
                           k * stagger + j * config.inter_session_gap,
                           config.inter_request_gap))
     return specs

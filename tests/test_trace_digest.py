@@ -75,7 +75,7 @@ def test_check_rejects_an_unreadable_file(monkeypatch, capsys, tmp_path):
 
 
 def test_engine_reproduces_the_saved_trace_digests(capsys):
-    # Every trace and every Metrics of the 24 digest runs must match the
+    # Every trace and every Metrics of the 30 digest runs must match the
     # saved file.  A change that alters them on purpose regenerates it
     # with `python3 scripts/trace_digest.py > tests/data/trace_digest.jsonl`.
     saved = Path(__file__).resolve().parent / "data" / "trace_digest.jsonl"
