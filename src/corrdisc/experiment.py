@@ -152,16 +152,25 @@ def variant_config(base: SimConfig, seed: int, variant: str) -> SimConfig:
     return replace(base, seed=seed, mining_enabled=(variant == "mining_on"))
 
 
+class _TraceFile:
+    """A trace sink that writes each line to ``fh`` as the run makes it, so
+    no run holds its trace in memory."""
+
+    def __init__(self, fh) -> None:
+        self._write = fh.write
+
+    def append(self, line: str) -> None:
+        self._write(f"{line}\n")
+
+
 def _run_one(args: tuple[SimConfig, int, str, str | None]) -> RunRow:
     base, seed, variant, trace_dir = args
     config = variant_config(base, seed, variant)
-    trace: list[str] | None = [] if trace_dir else None
-    metrics = run(config, trace=trace)
-    if trace_dir:
-        path = os.path.join(trace_dir, f"seed{seed}_{variant}.trace")
-        with open(path, "w") as fh:
-            fh.writelines(f"{line}\n" for line in trace)
-    return RunRow(seed, variant, metrics)
+    if not trace_dir:
+        return RunRow(seed, variant, run(config))
+    # A run that raises leaves the lines written so far.
+    with open(os.path.join(trace_dir, f"seed{seed}_{variant}.trace"), "w") as fh:
+        return RunRow(seed, variant, run(config, trace=_TraceFile(fh)))
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1,

@@ -6,7 +6,7 @@ per-hop latency.  Events execute in (time, insertion seq) order, so two
 runs of the same config produce identical metrics and traces.  Timers
 wait in a heap and deliveries in a FIFO, which stays sorted because each
 delivery is due one fixed hop latency after the never-decreasing clock.
-The loop handles the two packet kinds apart: an SREQ broadcast visits its
+The loop routes each packet by its kind: an SREQ broadcast visits its
 recipients in adjacency order, skipping those that have seen it, and an
 SREP, always a unicast, goes straight to its one recipient.
 A timer's heap entry carries the plain function that runs it, so the loop
@@ -205,9 +205,10 @@ def _packet_detail(packet: Sreq | Srep) -> str:
 
 
 class Simulation:
-    """One seeded run.  Single-threaded; independent runs share nothing."""
+    """One seeded run.  Single-threaded; independent runs share nothing.
+    ``trace`` takes each line as the run makes it: any ``append(str)``."""
 
-    def __init__(self, config: SimConfig, *, trace: list[str] | None = None):
+    def __init__(self, config: SimConfig, *, trace=None):
         config.validate()
         self.cfg = config
         self._hop_latency = config.hop_latency  # read on every transmission
@@ -224,6 +225,7 @@ class Simulation:
         self._heap: list = []
         # Deliveries are appended in (time, seq) order, as each is due a fixed
         # hop_latency after the current time; one seq numbers both queues.
+        # An SREQ's recipients are its sender's adjacency, an SREP's its one id.
         self._deliveries: deque = deque()  # (time, seq, recipients, from_node, packet)
         self._seq = count()
         self._mine_cache: dict[tuple, dict] = {}
@@ -285,7 +287,7 @@ class Simulation:
         if self.trace is not None:
             self._trace(now, "tx_ucast", from_node, f"to={to} " + _packet_detail(srep))
         self._deliveries.append((now + self._hop_latency, next(self._seq),
-                                 (to,), from_node, srep))
+                                 to, from_node, srep))
 
     # -- main loop -----------------------------------------------------------
 
@@ -333,17 +335,15 @@ class Simulation:
                             self._trace(time, DELIVER, to, detail)
                         if msg_id in seen[to]:
                             continue
-                        emission = Node.handle_sreq(nodes[to], packet, from_node, time)
-                        if emission is not None:
-                            hop, out = emission
-                            if hop is None:
-                                broadcast(to, out, time)
-                            else:
-                                unicast(to, hop, out, time)
+                        out = Node.handle_sreq(nodes[to], packet, from_node, time)
+                        if isinstance(out, Sreq):
+                            broadcast(to, out, time)
+                        elif out is not None:  # an answer goes back to the sender
+                            unicast(to, from_node, out, time)
                 else:
-                    # Replies are only ever unicast, and they carry no msg_id
-                    # of their own to skip on.
-                    (to,) = recipients
+                    # Replies are only ever unicast to one recipient, and they
+                    # carry no msg_id of their own to skip on.
+                    to = recipients
                     if tracing:
                         self._trace(time, DELIVER, to, detail)
                     emission = Node.handle_srep(nodes[to], packet)
@@ -390,6 +390,6 @@ class Simulation:
         self._push(time + self.cfg.mining_interval, Simulation._mining_tick, ())
 
 
-def run(config: SimConfig, *, trace: list[str] | None = None) -> Metrics:
+def run(config: SimConfig, *, trace=None) -> Metrics:
     """Execute one run to ``sim_duration`` and return its metrics."""
     return Simulation(config, trace=trace).run()

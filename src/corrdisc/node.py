@@ -3,11 +3,11 @@
 A node owns a bounded FIFO service table, the circular session log, the
 latest mined itemsets, duplicate-suppression and reverse-path memory for
 flooded requests, and the pending-request bookkeeping behind the
-locally-satisfied metric.  ``issue_request`` returns the ``Sreq`` to
-flood, or ``None`` when the node answers itself.  ``handle_sreq`` and
-``handle_srep`` return one ``(next_hop, packet)`` pair to send
-(``next_hop=None`` meaning broadcast), or ``None``; the simulation layer
-does the delivery.  A reply goes to the upstream hop stored for its request.
+locally-satisfied metric.  Each handler returns what the node sends, or
+``None``; the simulation layer does the delivery.  ``issue_request`` and
+``handle_sreq`` return the packet itself: an ``Sreq`` floods, and an
+``Srep`` answers the node the request came from.  ``handle_srep`` returns
+``(upstream, srep)``, since only the relay knows its stored upstream hop.
 
 Every node a reply passes learns its records (``Node._learn``).  A run
 relays replies hundreds of thousands of times, so each hop is kept cheap:
@@ -30,7 +30,6 @@ if TYPE_CHECKING:
     from .netsim import Metrics, SimConfig
 
 MsgId = tuple[int, int]
-Emission = tuple[int | None, Sreq | Srep]
 
 _new_packet = tuple.__new__  # _new_packet(Srep, fields) is a real Srep
 
@@ -177,7 +176,7 @@ class Node:
         m.broadcasts_originated += 1
         return sreq
 
-    def handle_sreq(self, sreq: Sreq, from_node: int, now: float) -> Emission | None:
+    def handle_sreq(self, sreq: Sreq, from_node: int, now: float) -> Sreq | Srep | None:
         """Handle a request whose id the node has not seen; the caller
         (``Simulation._loop``) drops duplicates before calling."""
         origin, seq, session_seq, requested, ttl = sreq
@@ -197,13 +196,13 @@ class Node:
             if self.itemsets:
                 related = tuple(self._pick_related(requested))
                 self.metrics.piggybacked_records_sent += len(related)
-            return from_node, _new_packet(Srep, (self.nid, origin, msg_id, self._initial_ttl,
-                                                 (requested, record.provider), related))
+            return _new_packet(Srep, (self.nid, origin, msg_id, self._initial_ttl,
+                                      (requested, record.provider), related))
         if ttl > 0:
-            return None, _new_packet(Sreq, (origin, seq, session_seq, requested, ttl - 1))
+            return _new_packet(Sreq, (origin, seq, session_seq, requested, ttl - 1))
         return None
 
-    def handle_srep(self, srep: Srep) -> Emission | None:
+    def handle_srep(self, srep: Srep) -> tuple[int, Srep] | None:
         responder, destination, in_reply_to, ttl, answer, related = srep
         self._learn(answer[0], answer[1], False)
         for rel_service, rel_provider in related:

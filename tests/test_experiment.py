@@ -235,6 +235,31 @@ def test_run_experiment_writes_traces(tmp_path):
             assert bool(written) == (duration > 0)
 
 
+def test_traces_stream_to_disk(tmp_path, monkeypatch):
+    # _run_one hands run a sink that writes each line as the run makes it,
+    # never a list, and a run that raises leaves the lines written so far.
+    sinks = []
+
+    def spy(config, *, trace=None):
+        sinks.append(trace)
+        return run(config, trace=trace)
+
+    monkeypatch.setattr(experiment, "run", spy)
+    run_experiment(ExperimentSpec(base=SMALL, seeds=(0,)), trace_dir=str(tmp_path))
+    assert len(sinks) == len(VARIANTS)
+    assert all(sink is not None and not isinstance(sink, list) for sink in sinks)
+
+    def failing(config, *, trace=None):
+        trace.append("0.000 first line")
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(experiment, "run", failing)
+    with pytest.raises(RuntimeError, match="run failed"):
+        run_experiment(ExperimentSpec(base=SMALL, seeds=(1,), variants=("mining_on",)),
+                       trace_dir=str(tmp_path))
+    assert (tmp_path / "seed1_mining_on.trace").read_text() == "0.000 first line\n"
+
+
 # -- output ------------------------------------------------------------------------
 
 def test_csv_round_trip_exact(tmp_path):

@@ -301,9 +301,10 @@ def test_one_delivery_event_per_transmission():
     sim.deliver_broadcast(sender, sreq, now=0.0)
     sim.deliver_unicast(sender, neighbor, srep, now=0.0)
     assert sim._heap == timers   # deliveries never enter the timer heap
-    # A delivery is (time, seq, recipients, from_node, packet).
+    # A delivery is (time, seq, recipients, from_node, packet): an SREQ's
+    # recipients are the sender's adjacency, an SREP's its one recipient id.
     assert [e[2:] for e in sim._deliveries] == [
-        (sim.topology.adjacency[sender], sender, sreq), ((neighbor,), sender, srep)]
+        (sim.topology.adjacency[sender], sender, sreq), (neighbor, sender, srep)]
     first, second = sim._deliveries
     assert first[:2] < second[:2]
 
@@ -639,6 +640,36 @@ def test_every_reply_hop_is_between_neighbours(cfg):
     assert len(hops) == metrics.srep_transmissions > 0
     for sender, to in hops:
         assert int(to.removeprefix("to=")) in sim.topology.adjacency[int(sender)]
+
+
+# Runs where no node forgets an id: FLOOD50 and GOLDEN_DENSE with the
+# default seen memory.
+REPLY_ROUTING_CONFIGS = [replace(FLOOD50, mining_enabled=on) for on in (False, True)] + [
+    replace(GOLDEN_DENSE, seen_capacity=SimConfig.seen_capacity)]
+
+
+@pytest.mark.parametrize("cfg", REPLY_ROUTING_CONFIGS)
+def test_each_reply_hop_goes_where_its_request_came_from(cfg):
+    # Answering nodes and relays alike send a reply to request X to the node
+    # their first copy of X came from.  The law needs every node to remember
+    # every id, so the run floods no more ids than a node remembers.
+    trace: list[str] = []
+    metrics = run(cfg, trace=trace)
+    assert metrics.broadcasts_originated <= cfg.seen_capacity
+    came_from: dict[tuple[str, str], str] = {}
+    hops = relayed = 0
+    for line in trace:
+        _, kind, node, detail = line.split(" ", 3)
+        if kind == DELIVER and (m := re.match(r"from=(\d+) sreq origin=(\d+) seq=(\d+)",
+                                               detail)):
+            came_from.setdefault((node, f"{m[2]}:{m[3]}"), m[1])
+        elif kind == "tx_ucast":
+            m = re.match(r"to=(\d+) srep responder=(\d+) .* reply=(\d+:\d+)", detail)
+            assert m[1] == came_from[(node, m[3])], line
+            hops += 1
+            relayed += m[2] != node
+    assert hops == metrics.srep_transmissions
+    assert 0 < relayed < hops
 
 
 @pytest.mark.parametrize("seen_capacity", [1, 2])

@@ -119,9 +119,9 @@ def test_handle_sreq_answers_with_related_from_table():
     node._learn(7, 6, False)
     node.itemsets = {fs(3, 7): 4}
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    out = node.handle_sreq(sreq, from_node=1, now=2.0)
-    to, srep = out
-    assert to == 1
+    srep = node.handle_sreq(sreq, from_node=3, now=2.0)
+    # The bare packet: the engine sends an answer back to from_node.
+    assert type(srep) is Srep
     assert srep.destination == 1
     assert srep.answer == (3, 5)
     assert srep.related == ((7, 6),)
@@ -133,7 +133,7 @@ def test_handle_sreq_related_filtered_to_known_services():
     node._learn(3, 5, False)
     node.itemsets = {fs(3, 9): 4}   # 9 is co-frequent but unknown here
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    _, srep = node.handle_sreq(sreq, from_node=1, now=2.0)
+    srep = node.handle_sreq(sreq, from_node=1, now=2.0)
     assert srep.related == ()
 
 
@@ -143,7 +143,7 @@ def test_handle_sreq_related_capped_and_ranked():
         node._learn(service, provider, False)
     node.itemsets = {fs(3, 6): 2, fs(3, 7): 5, fs(3, 8): 5}
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    _, srep = node.handle_sreq(sreq, from_node=1, now=2.0)
+    srep = node.handle_sreq(sreq, from_node=1, now=2.0)
     # Strongest support first, ties toward the lower id, capped at 2.
     assert srep.related == ((7, 1), (8, 1))
 
@@ -157,8 +157,9 @@ def test_handle_sreq_ttl_exhausted():
 def test_handle_sreq_rebroadcast_decrements_ttl():
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    to, fwd = node.handle_sreq(sreq, from_node=1, now=2.0)
-    assert to is None
+    fwd = node.handle_sreq(sreq, from_node=1, now=2.0)
+    # The bare packet: the engine broadcasts every Sreq a handler returns.
+    assert type(fwd) is Sreq
     assert fwd.ttl == 7
     assert fwd.msg_id == sreq.msg_id
 
@@ -369,7 +370,7 @@ def test_pick_related_ranks_each_service_once_per_mine(monkeypatch):
     node.log.close_stale_sessions(now=100.0, session_window=1.0)
     node.remine(lambda txns: mine_frequent_itemsets(txns, 0.5))
     for seq in range(3):
-        _, srep = node.handle_sreq(Sreq(1, seq, 0, 3, 8), from_node=1, now=101.0)
+        srep = node.handle_sreq(Sreq(1, seq, 0, 3, 8), from_node=1, now=101.0)
         assert srep.related == ((7, 6),)
     assert calls == [3]
     node.log.record_request((5, 3), 3, now=102.0)
@@ -383,7 +384,7 @@ def test_baseline_related_always_empty():
     # Without mined itemsets every reply has an empty related list.
     node = make_node(nid=2)
     node._learn(3, 5, False)
-    _, srep = node.handle_sreq(Sreq(1, 0, 0, 3, 8), from_node=1, now=1.0)
+    srep = node.handle_sreq(Sreq(1, 0, 0, 3, 8), from_node=1, now=1.0)
     assert srep.related == ()
 
 
@@ -450,16 +451,16 @@ def test_learning_matches_inserting_new_records(ops, capacity, hosted):
 
 
 def test_relayed_packets_are_real_packets():
-    # The loop tells an SREQ from an SREP by isinstance, so a relay that
-    # built a plain tuple would have it handled as a reply without error.
+    # The loop routes each packet by isinstance, so a relay that built a
+    # plain tuple would have it handled as a reply without error.
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    _, forwarded = node.handle_sreq(sreq, from_node=1, now=1.0)
+    forwarded = node.handle_sreq(sreq, from_node=1, now=1.0)
     assert type(forwarded) is Sreq
     assert forwarded == Sreq(1, 0, 0, 3, 7)
 
     node._learn(4, 5, False)
-    _, answer = node.handle_sreq(Sreq(1, 1, 0, 4, 8), from_node=1, now=2.0)
+    answer = node.handle_sreq(Sreq(1, 1, 0, 4, 8), from_node=1, now=2.0)
     assert type(answer) is Srep
     assert answer == Srep(responder=2, destination=1, in_reply_to=(1, 1), ttl=8,
                           answer=(4, 5), related=())
