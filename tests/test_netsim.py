@@ -1,21 +1,27 @@
 import gc
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from corrdisc.netsim import (DELIVER, MINING_TICK, Metrics, SimConfig, Simulation,
+from corrdisc.netsim import (DELIVER, ISSUE, Metrics, SimConfig, Simulation,
                              assign_services, place_nodes, run)
 from corrdisc.node import Node
 from corrdisc.packets import MAX_RELATED_RECORDS, Sreq, Srep
+from trace_audit import audit
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import run as bench  # noqa: E402  (the benchmark's workloads)
 
 SMALL = SimConfig(node_count=8, service_count=5, sessions_per_consumer=2,
                   sim_duration=150.0)
+FLOOD50, MINE_HEAVY = (bench.WORKLOADS[name].base_config() for name in ("flood50", "mine_heavy"))
 
 
 def test_place_single_node_no_edges():
@@ -99,24 +105,6 @@ def test_conservation_and_sanity_of_counters():
                                        + metrics.requests_failed)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 8), st.booleans(),
-       st.sampled_from((1, 2, 1024)), st.integers(1, 6))
-def test_every_request_not_satisfied_locally_is_one_broadcast(
-        seed, node_count, service_count, log_overheard, seen_capacity, log_capacity):
-    # A small seen memory makes nodes forget ids, and logging overheard
-    # requests fills the logs: neither may make a node originate a flood
-    # for a request it satisfied locally, or none for one it did not.
-    cfg = SimConfig(node_count=node_count, service_count=service_count, seed=seed,
-                    log_overheard=log_overheard, seen_capacity=seen_capacity,
-                    log_capacity=log_capacity, sessions_per_consumer=3,
-                    mining_interval=5.0, sim_duration=200.0)
-    for mining_enabled in (False, True):
-        m = run(replace(cfg, mining_enabled=mining_enabled))
-        assert m.requests_issued > 0
-        assert m.broadcasts_originated == m.requests_issued - m.locally_satisfied
-
-
 def test_broken_conservation_raises_even_under_optimisation(monkeypatch):
     # A plain assert would vanish under ``python -O``; the check must not.
     monkeypatch.setattr(Node, "expire_pending", lambda node, now: 0)
@@ -172,41 +160,6 @@ def test_run_restores_the_collector_when_it_raises(monkeypatch, collector_on):
     with pytest.raises(ValueError, match="handler failed"):
         run(replace(SMALL, seed=2))
     assert gc.isenabled()
-
-
-def test_event_times_non_decreasing_in_trace():
-    trace: list = []
-    run(replace(SMALL, seed=1), trace=trace)
-    times = [float(line.split()[0]) for line in trace]
-    assert times == sorted(times)
-
-
-def test_flooding_bound_and_duplicate_suppression():
-    cfg = replace(SMALL, seed=4)
-    trace: list = []
-    run(cfg, trace=trace)
-    per_msg = Counter()
-    per_node_msg = Counter()
-    for line in trace:
-        fields = line.split()
-        if fields[1] != "tx_bcast":
-            continue
-        node = fields[2]
-        msg = re.search(r"origin=(\d+) seq=(\d+)", line)
-        per_msg[msg.groups()] += 1
-        per_node_msg[(node, msg.groups())] += 1
-    assert per_msg
-    assert max(per_msg.values()) <= cfg.node_count
-    assert max(per_node_msg.values()) == 1
-
-
-def test_baseline_trace_has_no_related_records():
-    trace: list = []
-    run(replace(SMALL, mining_enabled=False), trace=trace)
-    assert any("srep" in line for line in trace)
-    for line in trace:
-        if "related=[" in line:
-            assert "related=[]" in line
 
 
 def test_paired_workload_identical_across_variants():
@@ -291,6 +244,41 @@ def test_golden_trace_slow_hops():
     assert run(cfg) == metrics
 
 
+def audited_run(cfg: SimConfig) -> Counter:
+    trace: list[str] = []
+    metrics = run(cfg, trace=trace)
+    return audit(trace, cfg, metrics)
+
+
+AUDITED = {"golden_regression": GOLDEN_REGRESSION, "golden_dense": GOLDEN_DENSE,
+           "golden_slow_hops": GOLDEN_SLOW_HOPS, "small": SMALL,
+           "dense_remembering": replace(GOLDEN_DENSE, seen_capacity=SimConfig.seen_capacity),
+           "flood50_off": replace(FLOOD50, mining_enabled=False), "flood50_on": FLOOD50,
+           **{f"mine_heavy_seed{s}": replace(MINE_HEAVY, seed=s) for s in range(3)}}
+
+
+@pytest.mark.parametrize("cfg", AUDITED.values(), ids=AUDITED.keys())
+def test_trace_obeys_every_law(cfg):
+    assert audited_run(cfg)["tx_ucast"] > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.builds(SimConfig, st.integers(1, 12), st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+                 log_overheard=st.booleans(), seen_capacity=st.sampled_from((1, 2, 1024)),
+                 log_capacity=st.integers(1, 6), hop_latency=st.sampled_from((0.002, 0.3)),
+                 inter_request_gap=st.sampled_from((0.3, 1.0)), sessions_per_consumer=st.just(3),
+                 mining_interval=st.just(5.0), sim_duration=st.just(200.0)))
+def test_small_random_runs_obey_every_law(cfg):
+    for mining_enabled in (False, True):
+        assert audited_run(replace(cfg, mining_enabled=mining_enabled))[ISSUE] > 0
+
+
+@pytest.mark.parametrize("line", ["0.000 teleport 0 to=1", "0.000 tx_bcast 0 srep ttl=1"])
+def test_audit_rejects_a_line_it_cannot_read(line):
+    with pytest.raises(AssertionError, match="cannot read"):
+        audit([line], SMALL, Metrics())
+
+
 def test_one_delivery_event_per_transmission():
     sim = Simulation(SMALL)
     sender = next(i for i, ns in sim.topology.adjacency.items() if ns)
@@ -307,23 +295,6 @@ def test_one_delivery_event_per_transmission():
         (sim.topology.adjacency[sender], sender, sreq), (neighbor, sender, srep)]
     first, second = sim._deliveries
     assert first[:2] < second[:2]
-
-
-def test_broadcasts_are_requests_and_unicasts_are_replies():
-    cfg = replace(SMALL, seed=2, log_overheard=True, support=0.3)
-    trace: list = []
-    metrics = run(cfg, trace=trace)
-    sends = Counter()
-    for line in trace:
-        _, kind, _, detail = line.split(" ", 3)
-        if kind == "tx_bcast":
-            assert detail.startswith("sreq "), line
-        elif kind == "tx_ucast":
-            assert detail.split(" ", 2)[1] == "srep", line
-        sends[kind] += 1
-    assert sends["tx_bcast"] == metrics.sreq_transmissions > 0
-    assert sends["tx_ucast"] == metrics.srep_transmissions > 0
-    assert metrics.piggybacked_records_sent > 0
 
 
 def test_heap_entries_carry_the_timer_functions():
@@ -349,23 +320,6 @@ def test_heap_holds_at_most_one_mining_tick(monkeypatch, mining_enabled):
     Simulation(cfg).run()
     # Ticks at 3, 6, ..., 147 each push the next; the first came from setup.
     assert pushed.count(Simulation._mining_tick) == (50 if mining_enabled else 0)
-
-
-def test_each_mining_tick_visits_every_node_in_id_order():
-    cfg = replace(SMALL, seed=5, mining_interval=4.0, log_overheard=True, support=0.3)
-    trace: list = []
-    run(cfg, trace=trace)
-    ticks: dict[str, list[tuple[int, int]]] = {}
-    for index, line in enumerate(trace):
-        time, kind, node, _ = line.split(" ", 3)
-        if kind == MINING_TICK:
-            ticks.setdefault(time, []).append((index, int(node)))
-    assert list(ticks) == [f"{4.0 * k:.3f}" for k in range(1, 38)]
-    for lines in ticks.values():
-        indices, nodes = zip(*lines)
-        assert nodes == tuple(range(cfg.node_count))
-        assert indices == tuple(range(indices[0], indices[0] + cfg.node_count))
-    assert any(" txns=0 " not in trace[i] for lines in ticks.values() for i, _ in lines)
 
 
 @pytest.mark.parametrize("timer", ["scan", "tick"])
@@ -471,11 +425,7 @@ def test_overlap_rule_boundary(change, ok):
             cfg.validate()
 
 
-@pytest.mark.parametrize("overrides", [
-    {},
-    dict(node_count=50, sessions_per_consumer=4),
-    dict(node_count=12, service_count=16, sessions_per_consumer=3),
-])
+@pytest.mark.parametrize("overrides", [{}, vars(FLOOD50), vars(MINE_HEAVY)])
 def test_default_and_benchmark_configs_do_not_overlap(overrides):
     replace(SimConfig(node_count=20, service_count=10), **overrides).validate()
 
@@ -511,12 +461,6 @@ def test_window_rule_boundary(change, ok):
     else:
         with pytest.raises(ValueError, match="sessions outlast the window"):
             cfg.validate()
-
-
-# The mine_heavy workload of perfbench/run.py.
-MINE_HEAVY = SimConfig(node_count=12, service_count=16, radio_range=250.0,
-                       log_overheard=True, log_capacity=48, support=0.3,
-                       mining_interval=2.0, sessions_per_consumer=3, sim_duration=270.0)
 
 
 @pytest.mark.parametrize("cfg", [GOLDEN_REGRESSION, GOLDEN_DENSE, GOLDEN_SLOW_HOPS,
@@ -604,9 +548,6 @@ def test_tick_remines_exactly_the_nodes_whose_log_changed(cfg, monkeypatch):
     assert 0 < sum(ticks) < len(ticks) * cfg.node_count
 
 
-# The flood50 workload of perfbench/run.py, at root seed 0.
-FLOOD50 = SimConfig(node_count=50, service_count=10, sessions_per_consumer=4,
-                    sim_duration=330.0)
 # GOLDEN_DENSE's two-entry seen memory makes nodes forget ids and handle them again.
 PROTOCOL_LAW_CONFIGS = [replace(cfg, mining_enabled=on) for cfg in (GOLDEN_DENSE, FLOOD50)
                         for on in (False, True)]
@@ -628,48 +569,6 @@ def test_engine_hands_handle_sreq_only_unseen_ids(cfg, monkeypatch):
     assert handled
     if cfg.seen_capacity == 2:
         assert max(handled.values()) > 1
-
-
-@pytest.mark.parametrize("cfg", PROTOCOL_LAW_CONFIGS)
-def test_every_reply_hop_is_between_neighbours(cfg):
-    # deliver_unicast drops nothing, so every SREP must go to a neighbour.
-    trace: list[str] = []
-    sim = Simulation(cfg, trace=trace)
-    metrics = sim.run()
-    hops = [line.split()[2:4] for line in trace if line.split()[1] == "tx_ucast"]
-    assert len(hops) == metrics.srep_transmissions > 0
-    for sender, to in hops:
-        assert int(to.removeprefix("to=")) in sim.topology.adjacency[int(sender)]
-
-
-# Runs where no node forgets an id: FLOOD50 and GOLDEN_DENSE with the
-# default seen memory.
-REPLY_ROUTING_CONFIGS = [replace(FLOOD50, mining_enabled=on) for on in (False, True)] + [
-    replace(GOLDEN_DENSE, seen_capacity=SimConfig.seen_capacity)]
-
-
-@pytest.mark.parametrize("cfg", REPLY_ROUTING_CONFIGS)
-def test_each_reply_hop_goes_where_its_request_came_from(cfg):
-    # Answering nodes and relays alike send a reply to request X to the node
-    # their first copy of X came from.  The law needs every node to remember
-    # every id, so the run floods no more ids than a node remembers.
-    trace: list[str] = []
-    metrics = run(cfg, trace=trace)
-    assert metrics.broadcasts_originated <= cfg.seen_capacity
-    came_from: dict[tuple[str, str], str] = {}
-    hops = relayed = 0
-    for line in trace:
-        _, kind, node, detail = line.split(" ", 3)
-        if kind == DELIVER and (m := re.match(r"from=(\d+) sreq origin=(\d+) seq=(\d+)",
-                                               detail)):
-            came_from.setdefault((node, f"{m[2]}:{m[3]}"), m[1])
-        elif kind == "tx_ucast":
-            m = re.match(r"to=(\d+) srep responder=(\d+) .* reply=(\d+:\d+)", detail)
-            assert m[1] == came_from[(node, m[3])], line
-            hops += 1
-            relayed += m[2] != node
-    assert hops == metrics.srep_transmissions
-    assert 0 < relayed < hops
 
 
 @pytest.mark.parametrize("seen_capacity", [1, 2])
