@@ -4,6 +4,7 @@ import pytest
 from numpy.random import SeedSequence, default_rng
 
 from corrdisc.cli import main
+from corrdisc.mining import MAX_ORACLE_UNIVERSE
 from corrdisc.netsim import SimConfig, Simulation
 from corrdisc.packets import ID_LIMIT
 from corrdisc.workload import build_correlation_matrix, cm_to_text
@@ -50,61 +51,58 @@ def test_run_subcommand_with_trace_dir(tmp_path):
         "seed1_mining_off.trace", "seed1_mining_on.trace"]
 
 
-def test_run_subcommand_config_error_exit_2(tmp_path, capsys):
-    config = tmp_path / "bad.txt"
-    config.write_text("node_count = 8\n")
-    assert main(["run", str(config)]) == 2
-    assert "service_count" in capsys.readouterr().err
+def edited(*lines: str) -> str:
+    """CONFIG with each ``key = value`` line in place of CONFIG's own line
+    for that key, if it has one: a key may be set only once."""
+    keys = {line.partition("=")[0].strip() for line in lines}
+    kept = [old for old in CONFIG.splitlines() if old.partition("=")[0].strip() not in keys]
+    return "\n".join(kept + list(lines)) + "\n"
 
 
-@pytest.mark.parametrize("line", ["sim_duration = inf", "mining_interval = nan",
-                                  "field_size = infx500"])
-def test_run_subcommand_non_finite_config_exit_2(tmp_path, capsys, line):
-    # The bad line replaces CONFIG's own line for that key, if it has one:
-    # a key may be set only once.
-    key = line.partition("=")[0].strip()
-    kept = [old for old in CONFIG.splitlines() if old.partition("=")[0].strip() != key]
-    config = tmp_path / "bad.txt"
-    config.write_text("\n".join(kept + [line]) + "\n")
-    assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
-    assert "must be finite" in capsys.readouterr().err
+# name: (config text, extra arguments, the reason given on stderr)
+RUN_REFUSALS = {
+    "missing_key": ("node_count = 8\n", [], "missing required key 'service_count'"),
+    **{f"non_finite_{key}": (edited(f"{key} = {value}"), [], f"{key} must be finite")
+       for key, value in [("sim_duration", "inf"), ("mining_interval", "nan"),
+                          ("field_size", "infx500")]},
+    "duplicate_node_count": (CONFIG + "node_count = 9\n", [],
+                             "line 7: duplicate key 'node_count' (first on line 2)"),
+    "duplicate_seeds": (CONFIG + "seeds = 2,3\n", [],
+                        "line 7: duplicate key 'seeds' (first on line 6)"),
+    "ignored_mining_enabled": (edited("mining_enabled = off"), [],
+                               "key 'mining_enabled' is set by each run's variant"),
+    "ignored_seed": (edited("seed = 5"), [], "line 7: key 'seed' is set by each run from 'seeds'"),
+    "ignored_out": (edited("out = a.csv"), [],
+                    "line 7: key 'out' is not a config key; give the CSV path with --out"),
+    "negative_seed": (edited("seeds = 0,-1"), [], "must be >= 0"),
+    # Packets carry two-byte node and service ids and at most 32 related
+    # records, so such a config is refused before anything runs.
+    "unencodable_max_related": (edited("max_related = 40"), [], "max_related must be at most 32"),
+    "unencodable_node_count": (edited("node_count = 70000"), [],
+                               "node_count must be at most 65536"),
+    "unencodable_service_count": (edited("service_count = 65537"), [],
+                                  "service_count must be at most 65536"),
+    # 4 services 30 s apart: a session's last request (90 s) comes after the
+    # consumer's next session opens (60 s).
+    "overlapping_sessions": (edited("service_count = 4", "inter_request_gap = 30"), [],
+                             "sessions overlap"),
+    # 5 services 10 s apart: a session's last request (40 s) comes after its
+    # 30 s window has closed it.
+    "sessions_outlast_the_window": (edited("inter_request_gap = 10"), [],
+                                    "sessions outlast the window"),
+    **{f"jobs_{jobs}": (CONFIG, ["--jobs", jobs], f"--jobs must be at least 1, got {jobs}")
+       for jobs in ["0", "-3"]},
+}
 
 
-@pytest.mark.parametrize("line,message", [
-    ("node_count = 9", "line 7: duplicate key 'node_count' (first on line 2)"),
-    ("seeds = 2,3", "line 7: duplicate key 'seeds' (first on line 6)"),
-])
-def test_run_subcommand_duplicate_key_exit_2(tmp_path, capsys, line, message):
-    config = tmp_path / "dup.txt"
-    config.write_text(CONFIG + line + "\n")
-    out = tmp_path / "r.csv"
-    assert main(["run", str(config), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("line,message", [
-    ("mining_enabled = off", "key 'mining_enabled' is set by each run's variant"),
-    ("seed = 5", "line 7: key 'seed' is set by each run from 'seeds'"),
-    ("out = a.csv", "line 7: key 'out' is not a config key; give the CSV path with --out"),
-])
-def test_run_subcommand_ignored_key_exit_2(tmp_path, capsys, line, message):
-    config = tmp_path / "ignored.txt"
-    config.write_text(CONFIG + line + "\n")
-    out = tmp_path / "r.csv"
-    assert main(["run", str(config), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_run_subcommand_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+@pytest.mark.parametrize("text, args, message", RUN_REFUSALS.values(), ids=RUN_REFUSALS.keys())
+def test_run_refusal_exit_2(tmp_path, capsys, text, args, message):
     config = tmp_path / "exp.txt"
-    config.write_text(CONFIG)
+    config.write_text(text)
     out = tmp_path / "r.csv"
-    assert main(["run", str(config), "--out", str(out), "--jobs", jobs]) == 2
+    assert main(["run", str(config), "--out", str(out), *args]) == 2
     captured = capsys.readouterr()
-    assert f"--jobs must be at least 1, got {jobs}" in captured.err
+    assert message in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -158,10 +156,19 @@ def test_mine_subcommand_oracle_agrees(tmp_path, capsys):
     assert fp == "1\t3\n2\t3\n1 2\t3\n"
 
 
-def test_mine_subcommand_bad_support(tmp_path, capsys):
+@pytest.mark.parametrize("text, args, code, message", [
+    ("1 2\n", ["1.5"], 2, "support must be in (0, 1], got 1.5"),
+    ("1 2\n", ["nan"], 2, "support must be in (0, 1], got nan"),
+    (" ".join(map(str, range(21))) + "\n", ["0.5", "--oracle"], 1,
+     f"oracle universe limited to {MAX_ORACLE_UNIVERSE} items, got 21"),
+], ids=["support_above_one", "support_nan", "oracle_over_its_limit"])
+def test_mine_refusal(tmp_path, capsys, text, args, code, message):
     txns = tmp_path / "txns.txt"
-    txns.write_text("1 2\n")
-    assert main(["mine", str(txns), "1.5"]) == 2
+    txns.write_text(text)
+    assert main(["mine", str(txns), *args]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_gen_cm_matches_experiment_substream(capsys):
@@ -176,67 +183,14 @@ def test_gen_cm_matches_experiment_substream(capsys):
         assert printed == cm_to_text(sim.cm) + "\n"
 
 
-def test_gen_cm_rejects_zero_services(capsys):
-    assert main(["gen-cm", "0", "42"]) == 2
-
-
-def test_gen_cm_rejects_more_services_than_a_run_accepts(capsys):
+@pytest.mark.parametrize("args, message", [
+    (["0", "42"], "need at least one service"),
     # Checked before any draw: the matrix would be (ID_LIMIT + 1) ** 2 cells.
-    assert main(["gen-cm", str(ID_LIMIT + 1), "0"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert f"service_count must be at most {ID_LIMIT}, got {ID_LIMIT + 1}" in err
-
-
-@pytest.mark.parametrize("line", ["seeds = 0,-1"])
-def test_run_subcommand_negative_seed_exit_2(tmp_path, capsys, line):
-    config = tmp_path / "bad.txt"
-    config.write_text(CONFIG.replace("seeds = 0,1", line))
-    assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
-    assert "must be >= 0" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
-
-
-@pytest.mark.parametrize("line, message", [
-    ("max_related = 40", "max_related must be at most 32"),
-    ("node_count = 70000", "node_count must be at most 65536"),
-    ("service_count = 65537", "service_count must be at most 65536"),
-])
-def test_run_subcommand_unencodable_config_exit_2(tmp_path, capsys, line, message):
-    # Packets carry two-byte node and service ids and at most 32 related
-    # records, so such a config is refused before anything runs.
-    key = line.partition("=")[0].strip()
-    kept = [old for old in CONFIG.splitlines() if old.partition("=")[0].strip() != key]
-    config = tmp_path / "bad.txt"
-    config.write_text("\n".join(kept + [line]) + "\n")
-    assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
-
-
-def test_run_subcommand_overlapping_sessions_exit_2(tmp_path, capsys):
-    # 4 services 30 s apart: a session's last request (90 s) comes after the
-    # consumer's next session opens (60 s).
-    config = tmp_path / "overlap.txt"
-    config.write_text(CONFIG.replace("service_count = 5", "service_count = 4")
-                      + "inter_request_gap = 30\n")
-    assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
-    assert "sessions overlap" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
-
-
-def test_run_subcommand_sessions_outlasting_the_window_exit_2(tmp_path, capsys):
-    # 5 services 10 s apart: a session's last request (40 s) comes after its
-    # 30 s window has closed it.
-    config = tmp_path / "outlast.txt"
-    config.write_text(CONFIG + "inter_request_gap = 10\n")
-    assert main(["run", str(config), "--out", str(tmp_path / "r.csv")]) == 2
-    assert "sessions outlast the window" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
-
-
-def test_gen_cm_rejects_negative_seed(capsys):
-    assert main(["gen-cm", "3", "-1"]) == 2
+    ([str(ID_LIMIT + 1), "0"], f"service_count must be at most {ID_LIMIT}, got {ID_LIMIT + 1}"),
+    (["3", "-1"], "seed must be >= 0"),
+], ids=["zero_services", "more_services_than_a_run_accepts", "negative_seed"])
+def test_gen_cm_refusal_exit_2(capsys, args, message):
+    assert main(["gen-cm", *args]) == 2
     captured = capsys.readouterr()
-    assert "seed must be >= 0" in captured.err
-    assert not captured.out
+    assert message in captured.err
+    assert captured.out == ""

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -140,17 +139,6 @@ def test_pair_ranking_equals_full_scan_on_mined_itemsets(txns, support):
     mined = mine_frequent_itemsets(txns, support)
     for service in range(17):   # 16 is never in a transaction
         assert rank_related(service, mined) == rank_related_full_scan(service, mined)
-
-
-def test_mining_is_deterministic_over_item_order():
-    rng = random.Random(7)
-    for _ in range(50):
-        txns = [frozenset(rng.sample(range(6), rng.randint(1, 5)))
-                for _ in range(rng.randint(1, 8))]
-        a = mine_frequent_itemsets(txns, 0.4)
-        b = mine_frequent_itemsets(list(reversed(txns)), 0.4)
-        # Same multiset of transactions (reversed order) -> same itemsets.
-        assert a == b
 
 
 # -- transaction file parsing ---------------------------------------------------

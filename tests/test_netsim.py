@@ -42,16 +42,6 @@ def test_place_unit_disk_rule_and_symmetry():
             assert linked == (i in topo.adjacency[j])
 
 
-def test_place_positions_inside_field_and_deterministic():
-    cfg = replace(SMALL, node_count=30)
-    a = place_nodes(cfg, default_rng(9))
-    b = place_nodes(cfg, default_rng(9))
-    assert a.positions == b.positions
-    w, h = cfg.field_size
-    for x, y in a.positions.values():
-        assert 0 <= x <= w and 0 <= y <= h
-
-
 def test_assign_services_counts_and_determinism():
     cfg = SimConfig(node_count=20, service_count=10)
     a = assign_services(cfg, default_rng(4))
@@ -79,17 +69,6 @@ def test_mining_disabled_no_piggybacking():
     metrics = run(replace(SMALL, mining_enabled=False))
     assert metrics.piggybacked_records_sent == 0
     assert metrics.prediction_hits == 0
-
-
-def test_run_is_deterministic_including_trace():
-    cfg = replace(SMALL, seed=3)
-    t1: list = []
-    t2: list = []
-    m1 = run(cfg, trace=t1)
-    m2 = run(cfg, trace=t2)
-    assert m1 == m2
-    assert t1 == t2
-    assert t1
 
 
 def test_conservation_and_sanity_of_counters():
@@ -350,59 +329,72 @@ def test_float_fields_list_is_complete():
                                  if "float" in f.type}
 
 
+# Unchecked, OVERLAPPING logged node 0's three sessions as the six keys
+# (0,0), (0,1), (0,0), (0,1), (0,0), (0,2): each session's late requests
+# reopened its key after the next session had opened.
+OVERLAPPING = SimConfig(node_count=8, service_count=10, inter_request_gap=20.0,
+                        session_window=500.0, sessions_per_consumer=3, eta=1.0,
+                        log_capacity=20, seed=1)
+# Unchecked, OUTLASTING's node 0 logged session (0,0) as {0,3,4,5,6,8} and
+# again as {9}: the scan closed it at its 30 s window, and its last request,
+# 54 s after its first, opened a second record under the same key.
+OUTLASTING = SimConfig(node_count=8, service_count=10, inter_request_gap=6.0,
+                       sessions_per_consumer=3, eta=1.0, log_capacity=20, seed=1)
+
+# name: (change to SMALL, the reason it is refused)
+CONFIG_REFUSALS = {
+    "eta_zero": ({"eta": 0.0}, "eta must be in (0, 1], got 0.0"),
+    "support_above_one": ({"support": 1.5}, "support must be in (0, 1], got 1.5"),
+    "no_nodes": ({"node_count": 0}, "node_count must be positive, got 0"),
+    "negative_duration": ({"sim_duration": -1.0}, "sim_duration must be >= 0, got -1.0"),
+    "negative_seed": ({"seed": -2}, "seed must be >= 0, got -2"),
+    # Packets carry two-byte node and service ids and at most 32 related records.
+    "max_related_unencodable": ({"max_related": MAX_RELATED_RECORDS + 1},
+                                "max_related must be at most 32"),
+    "node_count_unencodable": ({"node_count": 65537}, "node_count must be at most 65536"),
+    "service_count_unencodable": ({"service_count": 65537},
+                                  "service_count must be at most 65536"),
+    "overlapping_sessions": (vars(OVERLAPPING), "sessions overlap"),
+    "sessions_outlast_the_window": (vars(OUTLASTING), "sessions outlast the window"),
+}
+
+
+def assert_refused(cfg: SimConfig, message: str) -> None:
+    for build in (SimConfig.validate, Simulation):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(cfg)
+
+
+@pytest.mark.parametrize("change, message", CONFIG_REFUSALS.values(), ids=CONFIG_REFUSALS.keys())
+def test_config_refusal(change, message):
+    assert_refused(replace(SMALL, **change), message)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
 def test_config_rejects_non_finite_floats(name, value):
     bad = (value, 500.0) if name == "field_size" else value
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        replace(SMALL, **{name: bad}).validate()
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        run(replace(SMALL, eta=0.0))
-    with pytest.raises(ValueError):
-        run(replace(SMALL, support=1.5))
-    with pytest.raises(ValueError):
-        run(replace(SMALL, node_count=0))
-    with pytest.raises(ValueError):
-        run(replace(SMALL, sim_duration=-1.0))
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        run(replace(SMALL, seed=-2))
-
-
-@pytest.mark.parametrize("change, message", [
-    ({"max_related": MAX_RELATED_RECORDS + 1}, "max_related must be at most 32"),
-    ({"node_count": 65537}, "node_count must be at most 65536"),
-    ({"service_count": 65537}, "service_count must be at most 65536"),
-])
-def test_config_rejects_values_packets_cannot_carry(change, message):
-    with pytest.raises(ValueError, match=message):
-        replace(SMALL, **change).validate()
+    assert_refused(replace(SMALL, **{name: bad}), f"{name} must be finite")
 
 
 def test_config_accepts_the_largest_encodable_values():
     # One session per consumer: 65536 requests a second apart would overrun
-    # the next session's start (see test_config_rejects_overlapping_sessions).
+    # the next session's start (the overlapping_sessions refusal).
     # A 1e-4 s gap keeps all of them inside one session window.
     replace(SMALL, max_related=MAX_RELATED_RECORDS, node_count=65536,
             service_count=65536, initial_ttl=255, sessions_per_consumer=1,
             inter_request_gap=1e-4).validate()
 
 
-OVERLAPPING = SimConfig(node_count=8, service_count=10, inter_request_gap=20.0,
-                        session_window=500.0, sessions_per_consumer=3, eta=1.0,
-                        log_capacity=20, seed=1)
-
-
-def test_config_rejects_overlapping_sessions():
-    # Unchecked, this config logged node 0's three sessions as the six keys
-    # (0,0), (0,1), (0,0), (0,1), (0,0), (0,2): each session's late requests
-    # reopened its key after the next session had opened.
-    with pytest.raises(ValueError, match="sessions overlap"):
-        OVERLAPPING.validate()
-    with pytest.raises(ValueError, match="sessions overlap"):
-        Simulation(OVERLAPPING)
+def check_boundary(cfg: SimConfig, ok: bool, message: str) -> None:
+    if not ok:
+        assert_refused(cfg, message)
+        return
+    sim = Simulation(cfg)
+    sim.run()
+    for node in sim.nodes:
+        keys = [record.key for record in node.log.records]
+        assert len(keys) == len(set(keys))
 
 
 @pytest.mark.parametrize("change, ok", [
@@ -413,35 +405,7 @@ def test_config_rejects_overlapping_sessions():
     ({"sessions_per_consumer": 1}, True),    # no next session to overlap
 ])
 def test_overlap_rule_boundary(change, ok):
-    cfg = replace(OVERLAPPING, **change)
-    if ok:
-        sim = Simulation(cfg)
-        sim.run()
-        for node in sim.nodes:
-            keys = [record.key for record in node.log.records]
-            assert len(keys) == len(set(keys))
-    else:
-        with pytest.raises(ValueError, match="sessions overlap"):
-            cfg.validate()
-
-
-@pytest.mark.parametrize("overrides", [{}, vars(FLOOD50), vars(MINE_HEAVY)])
-def test_default_and_benchmark_configs_do_not_overlap(overrides):
-    replace(SimConfig(node_count=20, service_count=10), **overrides).validate()
-
-
-OUTLASTING = SimConfig(node_count=8, service_count=10, inter_request_gap=6.0,
-                       sessions_per_consumer=3, eta=1.0, log_capacity=20, seed=1)
-
-
-def test_config_rejects_sessions_that_outlast_the_window():
-    # Unchecked, node 0 logged session (0,0) as {0,3,4,5,6,8} and again as
-    # {9}: the scan closed it at its 30 s window, and its last request, 54 s
-    # after its first, opened a second record under the same key.
-    with pytest.raises(ValueError, match="sessions outlast the window"):
-        OUTLASTING.validate()
-    with pytest.raises(ValueError, match="sessions outlast the window"):
-        Simulation(OUTLASTING)
+    check_boundary(replace(OVERLAPPING, **change), ok, "sessions overlap")
 
 
 @pytest.mark.parametrize("change, ok", [
@@ -451,16 +415,12 @@ def test_config_rejects_sessions_that_outlast_the_window():
     ({"inter_request_gap": 3.3}, True),    # 9 * 3.3 = 29.7 < 30
 ])
 def test_window_rule_boundary(change, ok):
-    cfg = replace(OUTLASTING, **change)
-    if ok:
-        sim = Simulation(cfg)
-        sim.run()
-        for node in sim.nodes:
-            keys = [record.key for record in node.log.records]
-            assert len(keys) == len(set(keys))
-    else:
-        with pytest.raises(ValueError, match="sessions outlast the window"):
-            cfg.validate()
+    check_boundary(replace(OUTLASTING, **change), ok, "sessions outlast the window")
+
+
+@pytest.mark.parametrize("overrides", [{}, vars(FLOOD50), vars(MINE_HEAVY)])
+def test_default_and_benchmark_configs_do_not_overlap(overrides):
+    replace(SimConfig(node_count=20, service_count=10), **overrides).validate()
 
 
 @pytest.mark.parametrize("cfg", [GOLDEN_REGRESSION, GOLDEN_DENSE, GOLDEN_SLOW_HOPS,

@@ -22,13 +22,6 @@ def fs(*items):
 
 # -- service table ------------------------------------------------------------
 
-def test_fifo_eviction_six_into_five():
-    table = ServiceTable(5)
-    for service in "ABCDEF":
-        table.insert(rec(service))
-    assert [r.service for r in table.records()] == list("BCDEF")
-
-
 def test_reinsert_replaces_in_place():
     table = ServiceTable(5)
     table.insert(rec("A", provider=1))

@@ -16,14 +16,6 @@ def test_record_request_creates_record():
     assert not db.records[0].closed
 
 
-def test_fifo_eviction_of_oldest():
-    db = LogDatabase(2)
-    db.record_request((1, 0), 1, now=0.0)
-    db.record_request((2, 0), 2, now=1.0)
-    db.record_request((3, 0), 3, now=2.0)
-    assert [r.key for r in db.records] == [(2, 0), (3, 0)]
-
-
 def test_repeat_request_is_idempotent():
     db = LogDatabase(2)
     db.record_request((1, 0), 5, now=0.0)

@@ -78,13 +78,20 @@ def audit(lines, config, metrics) -> Counter:
             assert not remembers or f["to"] == first_from.get((node, f["reply"])), (
                 at, "a reply hop goes where the sender's first copy of its SREQ came from")
             assert config.mining_enabled or f["related"] == "[]", (at, "no mining, no related")
+            assert prev[1:3] == (DELIVER, node), (at, "a node sends a reply only on a delivery")
+            if "origin" in prev[4]:   # an answer to the SREQ just delivered
+                counts["related"] += f["related"].count("@")
+            else:                     # a forward of the SREP just delivered
+                counts["forwarded"] += 1
             deliveries.append((now + hop, f["to"], f"from={node} {detail.split(' ', 1)[1]}"))
         elif kind == DELIVER:
             now, to, sent = deliveries.popleft() if deliveries else (None,) * 3
             assert (node, detail) == (to, sent), (at, "each transmission's deliveries, in order")
             if "origin" in f:
                 first_from.setdefault((node, (f["origin"], f["seq"])), f["from"])
-            elif node == f["dest"] and pending.pop(f["reply"], None) is not None:
+            elif node != f["dest"]:
+                counts["relayed"] += 1   # forwarded or dropped
+            elif pending.pop(f["reply"], None) is not None:
                 counts["answered"] += 1
         assert time == f"{now:.3f}" and now >= last, (at, "each line bears its event's time")
         counts[kind] += 1
@@ -95,6 +102,8 @@ def audit(lines, config, metrics) -> Counter:
                   broadcasts_originated=counts[ISSUE] - counts["local"],
                   sreq_transmissions=counts["tx_bcast"], srep_transmissions=counts["tx_ucast"],
                   requests_answered=counts["answered"],
-                  requests_failed=counts["expired"] + len(pending))
+                  requests_failed=counts["expired"] + len(pending),
+                  piggybacked_records_sent=counts["related"],
+                  packets_dropped=counts["relayed"] - counts["forwarded"])
     assert totals == {key: getattr(metrics, key) for key in totals}, (totals, metrics)
     return counts
