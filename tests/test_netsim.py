@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
-from corrdisc.netsim import (DELIVER, ISSUE, Metrics, SimConfig, Simulation,
+from corrdisc.netsim import (ISSUE, Metrics, SimConfig, Simulation,
                              assign_services, place_nodes, run)
 from corrdisc.node import Node
 from corrdisc.packets import MAX_RELATED_RECORDS, Sreq, Srep
-from trace_audit import audit
+from trace_audit import audit, audit_pair
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run as bench  # noqa: E402  (the benchmark's workloads)
 
@@ -150,6 +150,8 @@ def test_paired_workload_identical_across_variants():
     assert on.topology.positions == off.topology.positions
 
 
+# The golden runs: tests/data/trace_digest.jsonl pins each one's trace
+# (tests/test_trace_digest.py says why each is there).
 GOLDEN_REGRESSION = SimConfig(node_count=5, service_count=3, sessions_per_consumer=1,
                               sim_duration=40.0, seed=12)
 GOLDEN_DENSE = SimConfig(node_count=20, service_count=8, sessions_per_consumer=2,
@@ -161,72 +163,18 @@ GOLDEN_SLOW_HOPS = replace(SMALL, seed=3, hop_latency=2.0, mining_interval=2.0,
                            log_overheard=True)
 
 
-def test_golden_trace_regression():
-    # Frozen reference for the seeded event stream; a diff here means the
-    # event ordering, rng derivation, or trace format changed.
-    import hashlib
-    cfg = GOLDEN_REGRESSION
-    trace: list = []
-    metrics = run(cfg, trace=trace)
-    assert trace[:4] == [
-        "0.000 issue_request 0 svc=1 session=0 local=0",
-        "0.000 tx_bcast 0 sreq origin=0 seq=0 session=0 svc=1 ttl=8",
-        "0.002 deliver 3 from=0 sreq origin=0 seq=0 session=0 svc=1 ttl=8",
-        "0.002 tx_bcast 3 sreq origin=0 seq=0 session=0 svc=1 ttl=7",
-    ]
-    assert len(trace) == 132
-    assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == \
-        "7cb1129aa7dba064c942d59f18fd5690033b25061918f016cc27621af87ac3f9"
-    assert metrics.requests_issued == 9
-    assert metrics.sreq_transmissions == 15
-    assert metrics.srep_transmissions == 13
-
-
-def test_golden_trace_dense():
-    # 20 nodes, overheard logging and mining: floods reach most nodes
-    # several times over, and a two-entry seen memory with slow hops makes
-    # nodes forget reverse paths, so replies are dropped in transit and
-    # forgotten requests are handled again.  The hash comes from an engine
-    # that called the handler for every recipient, so it also checks that
-    # skipping known duplicates ahead of the handler changes nothing.
-    import hashlib
-    cfg = GOLDEN_DENSE
-    trace: list = []
-    metrics = run(cfg, trace=trace)
-    assert len(trace) == 5878
-    assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == \
-        "a8fcf08b2ca4616e337226cfa2836d8ec48b35c0431c649dc7c4c1c55e9d702c"
-    sreq_deliveries = Counter(
-        (line.split()[2], re.search(r"origin=(\d+) seq=(\d+)", line).groups())
-        for line in trace if line.split()[1] == DELIVER and " sreq " in line)
-    assert sum(sreq_deliveries.values()) > 2 * len(sreq_deliveries)
-    assert metrics.packets_dropped > 0
-    assert metrics.piggybacked_records_sent > 0
-    assert metrics.prediction_hits > 0
-    assert run(cfg) == metrics
-
-
-def test_golden_trace_slow_hops():
-    # Hops as slow as two scan periods, with the request gap and the scan
-    # and mining periods all on whole seconds, so deliveries fall due at the
-    # same times as timers.  The event scheduled first must run first: an
-    # engine that ran timers ahead of deliveries due at the same time
-    # keeps both hashes above but changes this one.
-    import hashlib
-    cfg = GOLDEN_SLOW_HOPS
-    trace: list = []
-    metrics = run(cfg, trace=trace)
-    assert len(trace) == 1238
-    assert hashlib.sha256("\n".join(trace).encode()).hexdigest() == \
-        "49c498236b5be80df3f7c8610251238d29c91ebae7a0287af654cabe38f294f7"
-    assert metrics.requests_answered > 0
-    assert run(cfg) == metrics
-
-
-def audited_run(cfg: SimConfig) -> Counter:
-    trace: list[str] = []
+def audited_run(cfg: SimConfig, trace: list[str]) -> Counter:
     metrics = run(cfg, trace=trace)
     return audit(trace, cfg, metrics)
+
+
+def audited_pair(cfg: SimConfig) -> int | None:
+    """Audit both variants of ``cfg``, each alone and the two as a pair;
+    return the line of the first prediction."""
+    off, on = [], []
+    assert audited_run(replace(cfg, mining_enabled=False), off)[ISSUE] > 0
+    assert audited_run(replace(cfg, mining_enabled=True), on)[ISSUE] > 0
+    return audit_pair(off, on)
 
 
 AUDITED = {"golden_regression": GOLDEN_REGRESSION, "golden_dense": GOLDEN_DENSE,
@@ -238,7 +186,7 @@ AUDITED = {"golden_regression": GOLDEN_REGRESSION, "golden_dense": GOLDEN_DENSE,
 
 @pytest.mark.parametrize("cfg", AUDITED.values(), ids=AUDITED.keys())
 def test_trace_obeys_every_law(cfg):
-    assert audited_run(cfg)["tx_ucast"] > 0
+    assert audited_run(cfg, [])["tx_ucast"] > 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -248,8 +196,11 @@ def test_trace_obeys_every_law(cfg):
                  inter_request_gap=st.sampled_from((0.3, 1.0)), sessions_per_consumer=st.just(3),
                  mining_interval=st.just(5.0), sim_duration=st.just(200.0)))
 def test_small_random_runs_obey_every_law(cfg):
-    for mining_enabled in (False, True):
-        assert audited_run(replace(cfg, mining_enabled=mining_enabled))[ISSUE] > 0
+    audited_pair(cfg)
+
+
+def test_default_variants_agree_until_the_first_prediction():
+    assert audited_pair(SimConfig(node_count=20, service_count=10)) is not None
 
 
 @pytest.mark.parametrize("line", ["0.000 teleport 0 to=1", "0.000 tx_bcast 0 srep ttl=1"])

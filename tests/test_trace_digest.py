@@ -1,82 +1,92 @@
+"""The trace-identity gate: every saved run's trace hash, line count and
+Metrics, one JSON line each in ``tests/data/trace_digest.jsonl``.
+
+This module's ``__main__`` is the file's only writer, and each case compares
+the very line it prints.  A change that alters traces or Metrics on purpose
+regenerates the file and says so in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_trace_digest.py > tests/data/trace_digest.jsonl
+"""
+
 import hashlib
-import importlib.util
 import json
+from dataclasses import asdict
 from pathlib import Path
 
+import pytest
+
+from corrdisc.experiment import VARIANTS, variant_config
 from corrdisc.netsim import SimConfig, run
+from test_netsim import FLOOD50, GOLDEN_DENSE, GOLDEN_REGRESSION, GOLDEN_SLOW_HOPS, MINE_HEAVY
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "trace_digest.py"
-SMALL = SimConfig(node_count=6, service_count=6, sessions_per_consumer=2,
-                  sim_duration=210.0)
+SAVED = Path(__file__).resolve().parent / "data" / "trace_digest.jsonl"
 
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("trace_digest", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_digest_hashes_the_trace_and_prints_one_line_per_run(monkeypatch, capsys):
-    trace_digest = load_script()
-    trace: list[str] = []
-    metrics = run(SMALL, trace=trace)
-    digest = trace_digest.digest(SMALL)
-    assert digest["sha256"] == hashlib.sha256("\n".join(trace).encode()).hexdigest()
-    assert digest["lines"] == len(trace) > 0
-    assert digest["metrics"]["requests_issued"] == metrics.requests_issued > 0
-
-    monkeypatch.setattr(trace_digest, "configs", lambda: {"small": SMALL})
-    monkeypatch.setattr(trace_digest, "SEEDS", (0,))
-    assert trace_digest.main([]) == 0
-    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(d["config"], d["seed"], d["variant"]) for d in lines] == \
-        [("small", 0, "mining_off"), ("small", 0, "mining_on")]
-    assert lines[1] == {"config": "small", "seed": 0, "variant": "mining_on", **digest}
-
-
-def test_check_names_each_run_that_differs(monkeypatch, capsys, tmp_path):
-    trace_digest = load_script()
-    monkeypatch.setattr(trace_digest, "configs", lambda: {"small": SMALL})
-    monkeypatch.setattr(trace_digest, "SEEDS", (0, 1))
-    assert trace_digest.main([]) == 0
-    saved = capsys.readouterr().out.splitlines()
-    assert len(saved) == 4
-    good = tmp_path / "digest.jsonl"
-    good.write_text("\n".join(saved) + "\n")
-    assert trace_digest.main(["--check", str(good)]) == 0
-    assert capsys.readouterr().out == f"all 4 runs match {good}\n"
-
-    # One changed hash, one changed counter, and one saved run that no
-    # longer runs: each is named, and nothing else is.
-    entries = [json.loads(line) for line in saved]
-    entries[0]["sha256"] = "0" * 64
-    entries[3]["metrics"]["requests_issued"] += 1
-    entries.append({**entries[1], "config": "gone"})
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(json.dumps(e) + "\n" for e in entries))
-    assert trace_digest.main(["--check", str(bad)]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "differs: small seed=0 mining_off",
-        "differs: small seed=1 mining_on",
-        "differs: gone seed=0 mining_on (saved, not run)",
-        f"3 runs differ from {bad}"]
+# name: base config, run at seeds 0, 3 and 7 in both variants
+SWEPT = {
+    "flood50": FLOOD50,
+    "mine_heavy": MINE_HEAVY,
+    "default20": SimConfig(node_count=20, service_count=10),
+    # The configs above never close a session by its consumer's next one and
+    # never evict an open record; a small overheard log with sessions 20 s
+    # apart (less than session_window) does both.
+    "churn": SimConfig(node_count=20, service_count=10, log_overheard=True, log_capacity=4,
+                       inter_session_gap=20.0, mining_interval=7.0, support=0.4,
+                       sessions_per_consumer=12, sim_duration=300.0),
+    # A two-entry seen memory makes relays forget ids, handle later copies
+    # again and drop replies.
+    "forgetful": GOLDEN_DENSE,
+}
+# (config, seed, variant): the config of that run
+RUNS = {(name, seed, variant): variant_config(base, seed, variant)
+        for name, base in SWEPT.items() for seed in (0, 3, 7) for variant in VARIANTS}
+RUNS.update({
+    # Frozen reference for the seeded event stream; a diff here means the
+    # event ordering, rng derivation, or trace format changed.
+    ("golden_regression", 12, "mining_on"): GOLDEN_REGRESSION,
+    # 20 nodes, overheard logging and mining: floods reach most nodes several
+    # times over, and a two-entry seen memory with slow hops makes nodes
+    # forget reverse paths, so replies are dropped in transit and forgotten
+    # requests are handled again.  The hash comes from an engine that called
+    # the handler for every recipient, so it also checks that skipping known
+    # duplicates ahead of the handler changes nothing.
+    ("golden_dense", 8, "mining_on"): GOLDEN_DENSE,
+    # Hops as slow as two scan periods, with the request gap and the scan
+    # and mining periods all on whole seconds, so deliveries fall due at the
+    # same times as timers.  The event scheduled first must run first.
+    ("golden_slow_hops", 3, "mining_on"): GOLDEN_SLOW_HOPS,
+})
 
 
-def test_check_rejects_an_unreadable_file(monkeypatch, capsys, tmp_path):
-    trace_digest = load_script()
-    monkeypatch.setattr(trace_digest, "configs", lambda: {"small": SMALL})
-    garbled = tmp_path / "garbled.jsonl"
-    garbled.write_text('{"config": "small"}\n')
-    assert trace_digest.main(["--check", str(garbled)]) == 2
-    assert trace_digest.main(["--check", str(tmp_path / "missing.jsonl")]) == 2
-    err = capsys.readouterr().err
-    assert "line 1: not a digest line" in err and "missing.jsonl" in err
+def digest_line(key: tuple) -> str:
+    """The saved line of one run; its traced and untraced Metrics must agree."""
+    config, trace = RUNS[key], []
+    metrics = run(config, trace=trace)
+    assert run(config) == metrics, "traced Metrics differ from untraced"
+    name, seed, variant = key
+    return json.dumps({"config": name, "seed": seed, "variant": variant,
+                       "sha256": hashlib.sha256("\n".join(trace).encode()).hexdigest(),
+                       "lines": len(trace), "metrics": asdict(metrics)})
 
 
-def test_engine_reproduces_the_saved_trace_digests(capsys):
-    # Every trace and every Metrics of the 30 digest runs must match the
-    # saved file.  A change that alters them on purpose regenerates it
-    # with `python3 scripts/trace_digest.py > tests/data/trace_digest.jsonl`.
-    saved = Path(__file__).resolve().parent / "data" / "trace_digest.jsonl"
-    assert load_script().main(["--check", str(saved)]) == 0, capsys.readouterr().out
+def saved_lines() -> dict[tuple, str]:
+    lines = {}
+    for text in SAVED.read_text().splitlines():
+        entry = json.loads(text)
+        lines[(entry["config"], entry["seed"], entry["variant"])] = text
+    return lines
+
+
+SAVED_LINES = saved_lines()
+
+
+@pytest.mark.parametrize("key", [*RUNS, *(key for key in SAVED_LINES if key not in RUNS)],
+                         ids=lambda key: "-".join(map(str, key)))
+def test_run_matches_its_saved_digest(key):
+    assert key in RUNS, "saved, but no longer run"
+    assert key in SAVED_LINES, "run, but not saved"
+    assert digest_line(key) == SAVED_LINES[key]
+
+
+if __name__ == "__main__":
+    for key in RUNS:
+        print(digest_line(key), flush=True)
