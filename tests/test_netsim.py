@@ -161,6 +161,12 @@ GOLDEN_DENSE = SimConfig(node_count=20, service_count=8, sessions_per_consumer=2
 GOLDEN_SLOW_HOPS = replace(SMALL, seed=3, hop_latency=2.0, mining_interval=2.0,
                            inter_request_gap=1.0, pending_timeout=30.0, support=0.3,
                            log_overheard=True)
+# The goldens and the benchmark's configs never close a session by its
+# consumer's next one and never evict an open record; a small overheard log
+# with sessions 20 s apart (less than session_window) does both.
+CHURN = SimConfig(node_count=20, service_count=10, log_overheard=True, log_capacity=4,
+                  inter_session_gap=20.0, mining_interval=7.0, support=0.4,
+                  sessions_per_consumer=12, sim_duration=300.0)
 
 
 def audited_run(cfg: SimConfig, trace: list[str]) -> Counter:
@@ -180,21 +186,31 @@ def audited_pair(cfg: SimConfig) -> int | None:
 AUDITED = {"golden_regression": GOLDEN_REGRESSION, "golden_dense": GOLDEN_DENSE,
            "golden_slow_hops": GOLDEN_SLOW_HOPS, "small": SMALL,
            "dense_remembering": replace(GOLDEN_DENSE, seen_capacity=SimConfig.seen_capacity),
+           **{f"dense_seen1_{v}": replace(GOLDEN_DENSE, seen_capacity=1, mining_enabled=on)
+              for v, on in (("off", False), ("on", True))},
            "flood50_off": replace(FLOOD50, mining_enabled=False), "flood50_on": FLOOD50,
-           **{f"mine_heavy_seed{s}": replace(MINE_HEAVY, seed=s) for s in range(3)}}
+           **{f"mine_heavy_seed{s}": replace(MINE_HEAVY, seed=s) for s in range(3)},
+           "churn": CHURN}
+# A seen memory of one or two ids makes relays drop replies both for an id
+# they forgot and, on a reverse path that loops, for a spent ttl.
+FORGETFUL = ("golden_dense", "dense_seen1_off", "dense_seen1_on")
 
 
-@pytest.mark.parametrize("cfg", AUDITED.values(), ids=AUDITED.keys())
-def test_trace_obeys_every_law(cfg):
-    assert audited_run(cfg, [])["tx_ucast"] > 0
+@pytest.mark.parametrize("name", AUDITED)
+def test_trace_obeys_every_law(name):
+    counts = audited_run(AUDITED[name], [])
+    assert counts["tx_ucast"] > 0
+    if name in FORGETFUL:
+        assert counts["dropped_forgotten"] > 0 and counts["dropped_ttl"] > 0
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(st.builds(SimConfig, st.integers(1, 12), st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
                  log_overheard=st.booleans(), seen_capacity=st.sampled_from((1, 2, 1024)),
                  log_capacity=st.integers(1, 6), hop_latency=st.sampled_from((0.002, 0.3)),
                  inter_request_gap=st.sampled_from((0.3, 1.0)), sessions_per_consumer=st.just(3),
-                 mining_interval=st.just(5.0), sim_duration=st.just(200.0)))
+                 inter_session_gap=st.sampled_from((12.0, 60.0)),
+                 mining_interval=st.sampled_from((3.0, 5.0, 25.0)), sim_duration=st.just(200.0)))
 def test_small_random_runs_obey_every_law(cfg):
     audited_pair(cfg)
 
@@ -235,49 +251,7 @@ def test_heap_entries_carry_the_timer_functions():
     assert {entry[2] for entry in sim._heap} <= timers
 
 
-@pytest.mark.parametrize("mining_enabled", [True, False])
-def test_heap_holds_at_most_one_mining_tick(monkeypatch, mining_enabled):
-    pushed = []
-    original = Simulation._push
-
-    def checked_push(self, time, fire, payload):
-        original(self, time, fire, payload)
-        pushed.append(fire)
-        assert sum(entry[2] is Simulation._mining_tick for entry in self._heap) <= 1
-
-    monkeypatch.setattr(Simulation, "_push", checked_push)
-    cfg = replace(SMALL, seed=2, mining_interval=3.0, mining_enabled=mining_enabled)
-    Simulation(cfg).run()
-    # Ticks at 3, 6, ..., 147 each push the next; the first came from setup.
-    assert pushed.count(Simulation._mining_tick) == (50 if mining_enabled else 0)
-
-
-@pytest.mark.parametrize("timer", ["scan", "tick"])
-@pytest.mark.parametrize("end, due", [(2.5, False), (3.5, True)])
-def test_session_due_exactly_at_a_timer_is_closed_by_it(timer, end, due):
-    # No consumers, so the only session is the one planted below: opened at
-    # 0.0, due at 3.0, which is a time of both timers.  SCAN runs every
-    # second either way; the mining tick runs only in the "tick" case.
-    # Only the mining tick closes sessions by age; SCAN leaves it open.
-    # inter_request_gap keeps the config valid: 4 gaps must fit in the window.
-    cfg = replace(SMALL, consumer_fraction=0.0, session_window=3.0, sim_duration=end,
-                  inter_request_gap=0.5, mining_enabled=(timer == "tick"),
-                  mining_interval=1.0)
-    sim = Simulation(cfg)
-    sim.nodes[0].log.record_request((99, 0), 1, now=0.0)
-    sim.run()
-    (record,) = sim.nodes[0].log.records
-    assert record.closed is (due and timer == "tick")
-
-
-FLOAT_FIELDS = ("field_size", "radio_range", "eta", "support", "session_window",
-                "mining_interval", "sim_duration", "hop_latency", "inter_request_gap",
-                "inter_session_gap", "consumer_fraction", "pending_timeout")
-
-
-def test_float_fields_list_is_complete():
-    assert set(FLOAT_FIELDS) == {f.name for f in fields(SimConfig)
-                                 if "float" in f.type}
+FLOAT_FIELDS = tuple(f.name for f in fields(SimConfig) if "float" in f.type)
 
 
 # Unchecked, OVERLAPPING logged node 0's three sessions as the six keys
@@ -374,64 +348,6 @@ def test_default_and_benchmark_configs_do_not_overlap(overrides):
     replace(SimConfig(node_count=20, service_count=10), **overrides).validate()
 
 
-@pytest.mark.parametrize("cfg", [GOLDEN_REGRESSION, GOLDEN_DENSE, GOLDEN_SLOW_HOPS,
-                                 *(replace(MINE_HEAVY, seed=s) for s in range(3))])
-def test_no_session_stays_open_past_its_window(cfg, monkeypatch):
-    # After every mining tick no open session is due, and some ticks find
-    # one due on entry and close it.
-    original = Simulation._mining_tick
-    closing = 0
-
-    def checked(self, time):
-        nonlocal closing
-        window = self.cfg.session_window
-        closing += any(time - record.opened_at >= window
-                       for node in self.nodes for record in node.log._open.values())
-        original(self, time)
-        for node in self.nodes:
-            for record in node.log._open.values():
-                assert time - record.opened_at < window, (time, node.nid, record.key)
-
-    monkeypatch.setattr(Simulation, "_mining_tick", checked)
-    Simulation(cfg).run()
-    assert closing > 0
-
-
-@pytest.mark.parametrize("mining_interval", [3.0, 25.0])
-@pytest.mark.parametrize("inter_session_gap", [12.0, 60.0])
-@pytest.mark.parametrize("log_capacity", [2, 24])
-@pytest.mark.parametrize("log_overheard", [False, True])
-def test_scan_that_also_closes_due_sessions_changes_nothing(
-        monkeypatch, log_overheard, log_capacity, inter_session_gap, mining_interval):
-    # The reference SCAN closes every node's due sessions first.  Only the
-    # tick reads closed sessions, and a session due at a SCAN is still due
-    # at the next tick, so traces and metrics must stay byte-identical.  A
-    # gap of 12 s, less than session_window, makes new sessions close old
-    # ones; a log of 2 evicts open records.
-    cfg = replace(SMALL, seed=6, sessions_per_consumer=4, sim_duration=200.0,
-                  log_overheard=log_overheard, log_capacity=log_capacity,
-                  inter_session_gap=inter_session_gap, mining_interval=mining_interval)
-    plain_trace: list[str] = []
-    plain = run(cfg, trace=plain_trace)
-
-    original = Simulation._scan
-    scan_closes = 0
-
-    def closing_scan(self, time):
-        nonlocal scan_closes
-        for node in self.nodes:
-            before = node.log.closed_version
-            node.log.close_stale_sessions(time, self.cfg.session_window)
-            scan_closes += node.log.closed_version - before
-        original(self, time)
-
-    monkeypatch.setattr(Simulation, "_scan", closing_scan)
-    reference_trace: list[str] = []
-    assert run(cfg, trace=reference_trace) == plain
-    assert reference_trace == plain_trace
-    assert scan_closes > 0
-
-
 @pytest.mark.parametrize("cfg", [GOLDEN_DENSE, MINE_HEAVY])
 def test_tick_remines_exactly_the_nodes_whose_log_changed(cfg, monkeypatch):
     calls = []
@@ -457,50 +373,6 @@ def test_tick_remines_exactly_the_nodes_whose_log_changed(cfg, monkeypatch):
     monkeypatch.setattr(Simulation, "_mining_tick", checked)
     Simulation(cfg).run()
     assert 0 < sum(ticks) < len(ticks) * cfg.node_count
-
-
-# GOLDEN_DENSE's two-entry seen memory makes nodes forget ids and handle them again.
-PROTOCOL_LAW_CONFIGS = [replace(cfg, mining_enabled=on) for cfg in (GOLDEN_DENSE, FLOOD50)
-                        for on in (False, True)]
-
-
-@pytest.mark.parametrize("cfg", PROTOCOL_LAW_CONFIGS)
-def test_engine_hands_handle_sreq_only_unseen_ids(cfg, monkeypatch):
-    # The loop's seen check is the only duplicate check: handle_sreq has none.
-    original = Node.handle_sreq
-    handled = Counter()
-
-    def spy(node, sreq, from_node, now):
-        assert (sreq.origin, sreq.seq) not in node._seen, (now, node.nid, sreq)
-        handled[(node.nid, sreq.origin, sreq.seq)] += 1
-        return original(node, sreq, from_node, now)
-
-    monkeypatch.setattr(Node, "handle_sreq", spy)
-    Simulation(cfg).run()
-    assert handled
-    if cfg.seen_capacity == 2:
-        assert max(handled.values()) > 1
-
-
-@pytest.mark.parametrize("seen_capacity", [1, 2])
-def test_forgetful_relays_drop_replies_of_both_kinds(seen_capacity, monkeypatch):
-    # A relay that forgot a request's id has no upstream for its reply.  One
-    # that forgot it and then handled a later copy stored a new upstream, so
-    # a reverse path can loop until the reply's TTL runs out.
-    original = Node.handle_srep
-    drops = Counter()
-
-    def spy(node, srep):
-        out = original(node, srep)
-        if out is None and srep.destination != node.nid:
-            known = node._seen.get(srep.in_reply_to) is not None
-            drops["ttl" if known else "forgotten"] += 1
-        return out
-
-    monkeypatch.setattr(Node, "handle_srep", spy)
-    metrics = Simulation(replace(GOLDEN_DENSE, seen_capacity=seen_capacity)).run()
-    assert drops["ttl"] > 0 and drops["forgotten"] > 0
-    assert drops["ttl"] + drops["forgotten"] == metrics.packets_dropped
 
 
 @pytest.mark.parametrize("log_overheard", [False, True])

@@ -17,7 +17,8 @@ import pytest
 
 from corrdisc.experiment import VARIANTS, variant_config
 from corrdisc.netsim import SimConfig, run
-from test_netsim import FLOOD50, GOLDEN_DENSE, GOLDEN_REGRESSION, GOLDEN_SLOW_HOPS, MINE_HEAVY
+from test_netsim import (CHURN, FLOOD50, GOLDEN_DENSE, GOLDEN_REGRESSION, GOLDEN_SLOW_HOPS,
+                         MINE_HEAVY)
 
 SAVED = Path(__file__).resolve().parent / "data" / "trace_digest.jsonl"
 
@@ -26,12 +27,8 @@ SWEPT = {
     "flood50": FLOOD50,
     "mine_heavy": MINE_HEAVY,
     "default20": SimConfig(node_count=20, service_count=10),
-    # The configs above never close a session by its consumer's next one and
-    # never evict an open record; a small overheard log with sessions 20 s
-    # apart (less than session_window) does both.
-    "churn": SimConfig(node_count=20, service_count=10, log_overheard=True, log_capacity=4,
-                       inter_session_gap=20.0, mining_interval=7.0, support=0.4,
-                       sessions_per_consumer=12, sim_duration=300.0),
+    # Sessions closed by their consumer's next one, and open records evicted.
+    "churn": CHURN,
     # A two-entry seen memory makes relays forget ids, handle later copies
     # again and drop replies.
     "forgetful": GOLDEN_DENSE,

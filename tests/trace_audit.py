@@ -1,10 +1,15 @@
-"""One reader of the event trace, and the protocol laws that every trace obeys."""
+"""One reader of the event trace, and the protocol laws that every trace obeys.
+
+The auditor rebuilds each node's seen memory and session log from the trace
+and the config alone, so it checks relays, drops and mining ticks without
+reading the engine's state."""
 
 import re
 from collections import Counter, deque
 from functools import lru_cache
 from itertools import count, zip_longest
 
+from corrdisc.mining import MIN_MINING_TRANSACTIONS, mine_frequent_itemsets
 from corrdisc.netsim import DELIVER, ISSUE, MINING_TICK, SCAN, SCAN_INTERVAL, Simulation
 
 SREQ = "sreq origin= seq= session= svc= ttl="
@@ -32,6 +37,37 @@ def read(text: str) -> tuple:
         raise AssertionError(f"cannot read {text!r}; is its layout in LAYOUTS?") from None
 
 
+def lowered(delivered: dict) -> dict:
+    """A delivered packet's fields as a relay sends it on: the ttl one lower."""
+    fields = {**delivered, "ttl": delivered["ttl"] - 1}
+    del fields["from"]
+    return fields
+
+
+class SessionLog:
+    """A node's session log as the trace builds it: at most ``capacity``
+    records ``[consumer, session, opened_at, services, open]``, oldest
+    first, and at most one open record per consumer."""
+
+    def __init__(self, capacity: int):
+        self.records = deque(maxlen=capacity)   # a full log drops its oldest record
+
+    def log(self, consumer: int, session: int, service: int, now: float) -> None:
+        for record in self.records:
+            if record[0] == consumer and record[4]:
+                if record[1] == session:
+                    record[3].add(service)
+                    return
+                record[4] = False   # the consumer's next session closes it
+        self.records.append([consumer, session, now, {service}, True])
+
+    def close_due(self, now: float, window: float) -> list:
+        """Close each record open for ``window``; the closed records' services."""
+        for record in self.records:
+            record[4] = record[4] and now - record[2] < window
+        return [record[3] for record in self.records if not record[4]]
+
+
 def audit(lines, config, metrics) -> Counter:
     """Check every law on the lines of one run of ``config``; count each kind."""
     sim = Simulation(config)   # the run's topology and schedule, before it runs
@@ -48,14 +84,31 @@ def audit(lines, config, metrics) -> Counter:
               MINING_TICK: config.mining_interval if config.mining_enabled else end}
     timers = {kind: (period[kind], next(order)) for kind in period}
     deliveries = deque()   # (due, order, recipient, detail) of each delivery to come
-    first_from = {}        # (node, SREQ id) -> the sender of its first copy, None at the origin
+    seen = [{} for _ in adjacency]   # each node's seen memory: SREQ id -> upstream, oldest first
+    logs = [SessionLog(config.log_capacity) for _ in adjacency]
+    logging, overheard = config.mining_enabled, config.mining_enabled and config.log_overheard
     pending, counts = {}, Counter()   # SREQ id -> its request's time, until answered or expired
-    remembers = metrics.broadcasts_originated <= config.seen_capacity   # no node forgets an id
+
+    def remember(node, msg_id, upstream):
+        memory = seen[node]
+        if len(memory) == config.seen_capacity:
+            del memory[next(iter(memory))]   # forget the oldest id
+        memory[msg_id] = upstream
+
     prev, now, expect = (None, None, None, None, {}), 0.0, None
+    # What the last line lets its node send next (kind -> its to=), whether
+    # it must send one of them, and the law that says so.
+    sends, owed, law = {}, False, None
     for number, text in enumerate(lines, 1):
         time, kind, node, detail, f = line = read(text)
         at, event = (number, text), None
         assert expect in (None, (kind, node)), (at, "a tick writes one line per node, in order")
+        if kind in ("tx_bcast", "tx_ucast"):
+            assert node == prev[2] and kind in sends and sends[kind] == f.get("to"), (
+                at, law or "a node transmits only on an issue or a delivery to it")
+        else:
+            assert not owed, (at, law)
+        sends, owed, law = {}, False, None
         if kind == ISSUE:
             event = issues.popleft() if issues else ()
             assert event[2:] == (node, f["session"], f["svc"]), (
@@ -73,56 +126,78 @@ def audit(lines, config, metrics) -> Counter:
             assert now < end and event[:2] <= min(heads)[:2], (
                 at, "before the end, the least pending (due time, order scheduled) runs next")
         expect = (kind, node + 1) if kind == MINING_TICK and node + 1 < len(adjacency) else None
-        if kind == SCAN:
+        if kind == ISSUE:
+            if logging:
+                logs[node].log(node, f["session"], f["svc"], now)
+            sends, owed = ({}, False) if f["local"] else ({"tx_bcast": None}, True)
+            law = "a request floods at once unless it is satisfied locally"
+        elif kind == SCAN:
             expired = {i for i, t in pending.items() if now - t >= config.pending_timeout}
             assert f["expired"] == len(expired), (at, "a SCAN expires each timed-out request")
             pending = {i: t for i, t in pending.items() if i not in expired}
             counts["expired"] += len(expired)
+        elif kind == MINING_TICK:
+            closed = logs[node].close_due(now, config.session_window)
+            found = (len(mine_frequent_itemsets(closed, config.support))
+                     if len(closed) >= MIN_MINING_TRANSACTIONS else 0)
+            assert (f["txns"], f["itemsets"]) == (len(closed), found), (
+                at, "a tick closes each session open for session_window, and counts the "
+                    "closed sessions and the itemsets they mine to")
         elif kind == "tx_bcast":
             msg_id, p = (f["origin"], f["seq"]), prev[4]
-            if prev[1:3] == (ISSUE, node):   # the flood of the request just issued
-                assert [p["local"], p["session"], p["svc"], node, config.initial_ttl] == [
-                    0, f["session"], f["svc"], f["origin"], f["ttl"]], (at, "local=0 floods")
-                pending[msg_id], first_from[(node, msg_id)] = now, None
+            if prev[1] == ISSUE:   # the flood of the request just issued
+                assert [p["session"], p["svc"], node, config.initial_ttl] == [
+                    f["session"], f["svc"], f["origin"], f["ttl"]], (at, "a flood's first SREQ")
+                pending[msg_id] = now
+                remember(node, msg_id, None)
             else:
-                copy = {**f, "from": p.get("from"), "ttl": f["ttl"] + 1}   # as delivered to it
-                assert prev[1:3] == (DELIVER, node) and p == copy, (at, "a relay lowers the ttl")
-                assert not remembers or p["from"] == first_from[(node, msg_id)], (
-                    at, "a node relays only its first copy of an SREQ")
+                assert lowered(p) == f, (at, "a relay lowers the ttl")
             due = (now + hop, next(order))
             deliveries.extend((*due, to, f"from={node} {detail}") for to in adjacency[node])
         elif kind == "tx_ucast":
-            assert f["to"] in adjacency[node], (at, "every reply hop is between neighbours")
-            assert not remembers or f["to"] == first_from.get((node, f["reply"])), (
-                at, "a reply hop goes where the sender's first copy of its SREQ came from")
             assert config.mining_enabled or f["related"] == "[]", (at, "no mining, no related")
-            assert prev[1:3] == (DELIVER, node), (at, "a node sends a reply only on a delivery")
             if "origin" in prev[4]:   # an answer to the SREQ just delivered
                 counts["related"] += f["related"].count("@")
             else:                     # a forward of the SREP just delivered
-                counts["forwarded"] += 1
+                assert {**lowered(prev[4]), "to": f["to"]} == f, (at, "a relay lowers the ttl")
             deliveries.append((now + hop, next(order), f["to"],
                                f"from={node} {detail.split(' ', 1)[1]}"))
-        elif kind == DELIVER:
-            if "origin" in f:
-                first_from.setdefault((node, (f["origin"], f["seq"])), f["from"])
-            elif node != f["dest"]:
-                counts["relayed"] += 1   # forwarded or dropped
-            elif pending.pop(f["reply"], None) is not None:
-                counts["answered"] += 1
+        elif kind == DELIVER and "origin" in f:
+            law = ("a node acts only on an SREQ copy whose id it does not remember, "
+                   "and a handled copy with ttl > 0 yields one transmission")
+            msg_id = (f["origin"], f["seq"])
+            if msg_id not in seen[node]:
+                remember(node, msg_id, f["from"])
+                if overheard:
+                    logs[node].log(f["origin"], f["session"], f["svc"], now)
+                owed = f["ttl"] > 0
+                sends = {"tx_ucast": f["from"], **({"tx_bcast": None} if owed else {})}
+        elif kind == DELIVER and node != f["dest"]:
+            law = ("a relay forwards an SREP to its stored upstream while the id is in "
+                   "its seen memory and ttl > 0, and drops it otherwise")
+            upstream = seen[node].get(f["reply"])
+            if upstream is None:
+                counts["dropped_forgotten"] += 1
+            elif f["ttl"] <= 0:
+                counts["dropped_ttl"] += 1
+            else:
+                sends, owed = {"tx_ucast": upstream}, True
+        elif kind == DELIVER and pending.pop(f["reply"], None) is not None:
+            counts["answered"] += 1
         assert time == f"{now:.3f}", (at, "each line bears its event's time")
         counts[kind] += 1
         prev = line
-    assert expect is None and all(
+    assert expect is None and not owed and all(
         due >= end for due, *_ in [*issues, *deliveries, *timers.values()]), (
-        "every tick is whole, and every event due before the end has run")
+        "every tick is whole, every owed transmission is sent, and every event due "
+        "before the end has run")
     totals = dict(requests_issued=counts[ISSUE], locally_satisfied=counts["local"],
                   broadcasts_originated=counts[ISSUE] - counts["local"],
                   sreq_transmissions=counts["tx_bcast"], srep_transmissions=counts["tx_ucast"],
                   requests_answered=counts["answered"],
                   requests_failed=counts["expired"] + len(pending),
                   piggybacked_records_sent=counts["related"],
-                  packets_dropped=counts["relayed"] - counts["forwarded"])
+                  packets_dropped=counts["dropped_forgotten"] + counts["dropped_ttl"])
     assert totals == {key: getattr(metrics, key) for key in totals}, (totals, metrics)
     return counts
 
