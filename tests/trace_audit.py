@@ -2,7 +2,9 @@
 
 The auditor rebuilds each node's seen memory and session log from the trace
 and the config alone, so it checks relays, drops and mining ticks without
-reading the engine's state."""
+reading the engine's state.  Its session log, ``SessionLog``, is also the
+reference that ``tests/test_sessionlog.py`` checks ``LogDatabase`` against,
+op by op."""
 
 import re
 from collections import Counter, deque
@@ -47,7 +49,8 @@ def lowered(delivered: dict) -> dict:
 class SessionLog:
     """A node's session log as the trace builds it: at most ``capacity``
     records ``[consumer, session, opened_at, services, open]``, oldest
-    first, and at most one open record per consumer."""
+    first, and at most one open record per consumer.  The unit tests also
+    drive it beside a ``LogDatabase`` as the reference for its records."""
 
     def __init__(self, capacity: int):
         self.records = deque(maxlen=capacity)   # a full log drops its oldest record
