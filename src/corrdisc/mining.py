@@ -9,6 +9,11 @@ from the caller, as the simulation does from each node's
 ``brute_force_frequent_itemsets`` is the independent oracle that
 enumerates every subset of the item universe and counts containment
 directly.  Both return exact support counts.
+
+A reply ranks related services by pair supports alone, so an untraced
+simulation mines only the singletons and pairs (``max_size=2``).  A
+traced run mines every frequent itemset, since its ``mining_tick`` lines
+count them all.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ def min_count(fraction: float, n_transactions: int) -> int:
 
 
 def mine_frequent_itemsets(transactions: Sequence[Transaction], support: float,
-                           masks: Mapping[ServiceId, int] | None = None) -> ItemsetCounts:
+                           masks: Mapping[ServiceId, int] | None = None,
+                           max_size: int | None = None) -> ItemsetCounts:
     """All itemsets appearing in at least ceil(support * len(transactions))
     transactions, mapped to their exact support counts.
 
@@ -51,10 +57,14 @@ def mine_frequent_itemsets(transactions: Sequence[Transaction], support: float,
     bitsets of ``transactions``: one distinct bit per transaction, set in
     the mask of each of its items, and no other item.  Only popcounts are
     read, so the result is the same whichever bit each transaction has.
+    ``max_size``, when given, keeps only the itemsets of at most that many
+    items: exactly those of the full result, as it is downward closed.
     """
+    threshold = min_count(support, len(transactions))
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size}")
     if not transactions:
         return {}
-    threshold = min_count(support, len(transactions))
     if masks is None:
         # Bit t of an item's mask is set when transaction t holds the item,
         # so the support of an itemset is the popcount of its members' AND.
@@ -70,19 +80,24 @@ def mine_frequent_itemsets(transactions: Sequence[Transaction], support: float,
         if count >= threshold:
             frequent.append((item, mask, count))
     out: ItemsetCounts = {}
-    _extend(frozenset(), frequent, threshold, out)
+    # Without max_size, no itemset can outgrow the frequent items.
+    _extend(frozenset(), frequent, threshold, out, max_size or len(frequent))
     return out
 
 
 def _extend(prefix: frozenset[ServiceId], tail: list[tuple[ServiceId, int, int]],
-            threshold: int, out: ItemsetCounts) -> None:
+            threshold: int, out: ItemsetCounts, room: int) -> None:
     """Record ``prefix`` plus each item of ``tail`` (already frequent with
     it; each entry is item, mask, popcount), then grow each such itemset
     with the later items of ``tail`` only, so every itemset is reached
-    exactly once and every popcount is taken once."""
+    exactly once and every popcount is taken once.  ``room`` is how many
+    more items the recorded itemsets may hold than ``prefix``; at 1 they
+    are not grown."""
     for i, (item, mask, count) in enumerate(tail, 1):
         itemset = prefix | {item}
         out[itemset] = count
+        if room == 1:
+            continue
         later = []
         for other, other_mask, _ in tail[i:]:
             joint = mask & other_mask
@@ -90,7 +105,7 @@ def _extend(prefix: frozenset[ServiceId], tail: list[tuple[ServiceId, int, int]]
             if joint_count >= threshold:
                 later.append((other, joint, joint_count))
         if later:
-            _extend(itemset, later, threshold, out)
+            _extend(itemset, later, threshold, out, room - 1)
 
 
 def brute_force_frequent_itemsets(transactions: Sequence[Transaction],
@@ -101,13 +116,13 @@ def brute_force_frequent_itemsets(transactions: Sequence[Transaction],
     containment directly; rejects universes larger than
     ``MAX_ORACLE_UNIVERSE`` items.
     """
+    threshold = min_count(support, len(transactions))
     if not transactions:
         return {}
     universe = sorted(set().union(*transactions))
     if len(universe) > MAX_ORACLE_UNIVERSE:
         raise ValueError(
             f"oracle universe limited to {MAX_ORACLE_UNIVERSE} items, got {len(universe)}")
-    threshold = min_count(support, len(transactions))
     out: ItemsetCounts = {}
     for size in range(1, len(universe) + 1):
         for combo in combinations(universe, size):
@@ -125,7 +140,9 @@ def rank_related(service: ServiceId,
     Ties break toward the lower service id.  Only the pairs are read:
     ``itemsets`` must be downward closed with true supports, as every
     output of ``mine_frequent_itemsets`` is, so the strongest itemset
-    holding ``service`` and another service is the pair of the two.
+    holding ``service`` and another service is the pair of the two.  The
+    output of ``mine_frequent_itemsets(..., max_size=2)``, which the
+    untraced simulation mines, therefore ranks the same as the full one.
     """
     best: dict[ServiceId, int] = {}
     for items, count in itemsets.items():

@@ -255,17 +255,21 @@ class Simulation:
 
     def _miner(self, transactions: list[frozenset[int]],
                masks: dict[int, int]) -> dict[frozenset[int], int]:
-        # ``masks`` is the log's kept bitsets of ``transactions``.  The cache
-        # stays because `perfbench/test_perfbench.py` asserts that each
-        # distinct snapshot is mined once; the tick skips logs whose closed
-        # sessions did not change, so few snapshots repeat (`perfbench/run.py
-        # --trace 1`: cache_hit_ratio 0.17 on mine_heavy, 0.00 on flood50).  A
-        # key holds the frozensets the logs store, not copies, so building
-        # and hashing it reuses each set's cached hash.
+        # ``masks`` is the log's kept bitsets of ``transactions``.  A reply
+        # ranks by pair supports alone, so an untraced run mines only the
+        # singletons and pairs; a traced run mines every frequent itemset,
+        # which its mining_tick lines count.  The cache stays because
+        # `perfbench/test_perfbench.py` asserts that each distinct snapshot
+        # is mined once; the tick skips logs whose closed sessions did not
+        # change, so few snapshots repeat (`perfbench/run.py --trace 1`:
+        # cache_hit_ratio 0.17 on mine_heavy, 0.00 on flood50).  A key holds
+        # the frozensets the logs store, not copies, so building and hashing
+        # it reuses each set's cached hash.
         key = tuple(transactions)
         cached = self._mine_cache.get(key)
         if cached is None:
-            cached = mine_frequent_itemsets(transactions, self.cfg.support, masks)
+            cached = mine_frequent_itemsets(transactions, self.cfg.support, masks,
+                                            None if self.trace is not None else 2)
             self._mine_cache[key] = cached
         return cached
 

@@ -1,13 +1,15 @@
 """Per-node protocol state machine.
 
 A node owns a bounded FIFO service table, the circular session log, the
-latest mined itemsets, duplicate-suppression and reverse-path memory for
-flooded requests, and the pending-request bookkeeping behind the
-locally-satisfied metric.  Each handler returns what the node sends, or
-``None``; the simulation layer does the delivery.  ``issue_request`` and
-``handle_sreq`` return the packet itself: an ``Sreq`` floods, and an
-``Srep`` answers the node the request came from.  ``handle_srep`` returns
-``(upstream, srep)``, since only the relay knows its stored upstream hop.
+latest mined itemsets (only the singletons and pairs when the run is
+untraced, as a reply reads no more), duplicate-suppression and
+reverse-path memory for flooded requests, and the pending-request
+bookkeeping behind the locally-satisfied metric.  Each handler returns
+what the node sends, or ``None``; the simulation layer does the delivery.
+``issue_request`` and ``handle_sreq`` return the packet itself: an
+``Sreq`` floods, and an ``Srep`` answers the node the request came from.
+``handle_srep`` returns ``(upstream, srep)``, since only the relay knows
+its stored upstream hop.
 
 Every node a reply passes learns its records (``Node._learn``).  A run
 relays replies hundreds of thousands of times, so each hop is kept cheap:

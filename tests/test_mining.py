@@ -56,6 +56,22 @@ def test_mine_empty_input():
     assert mine_frequent_itemsets([], 0.8) == {}
 
 
+# Bad arguments are refused whether or not there is anything to mine.
+@pytest.mark.parametrize("txns", [[], [fs(1)]], ids=["empty", "one"])
+@pytest.mark.parametrize("mine", [
+    lambda txns: mine_frequent_itemsets(txns, 2.0),
+    lambda txns: mine_frequent_itemsets(txns, 0.0),
+    lambda txns: mine_frequent_itemsets(txns, float("nan")),
+    lambda txns: mine_frequent_itemsets(txns, 0.5, max_size=0),
+    lambda txns: brute_force_frequent_itemsets(txns, 2.0),
+    lambda txns: brute_force_frequent_itemsets(txns, float("nan")),
+], ids=["miner-above-1", "miner-zero", "miner-nan", "miner-max-size-0",
+        "oracle-above-1", "oracle-nan"])
+def test_mining_refuses_bad_arguments(mine, txns):
+    with pytest.raises(ValueError):
+        mine(txns)
+
+
 def test_brute_force_examples():
     assert brute_force_frequent_itemsets([fs(1)], 1.0) == {fs(1): 1}
     assert brute_force_frequent_itemsets([fs(1, 2), fs(1, 2), fs(1, 3)], 0.8) == {fs(1): 3}
@@ -93,14 +109,33 @@ def test_fp_growth_matches_oracle(txns, support):
 
 # The scale of the mine_heavy benchmark logs: up to 48 closed sessions
 # over 16 services, so transaction masks are wide and itemsets long.
+benchmark_scale_st = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=15), min_size=1, max_size=16),
+    min_size=1, max_size=48)
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.frozensets(st.integers(min_value=0, max_value=15), min_size=1,
-                              max_size=16),
-                min_size=1, max_size=48),
-       st.sampled_from([0.3, 0.5, 0.8]))
+@given(benchmark_scale_st, st.sampled_from([0.3, 0.5, 0.8]))
 def test_miner_matches_oracle_at_benchmark_scale(txns, support):
     assert mine_frequent_itemsets(txns, support) == \
         brute_force_frequent_itemsets(txns, support)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(transactions_st, benchmark_scale_st), st.sampled_from([0.3, 0.5, 0.8]),
+       st.randoms(use_true_random=False))
+def test_truncated_mining_equals_the_filtered_oracle(txns, support, rng):
+    # Masks as a LogDatabase keeps them: each transaction's bit is the slot
+    # it happens to hold in the ring, not its index in the snapshot.
+    masks = {}
+    for items, slot in zip(txns, rng.sample(range(64), len(txns))):
+        for item in items:
+            masks[item] = masks.get(item, 0) | 1 << slot
+    full = brute_force_frequent_itemsets(txns, support)
+    for max_size in (1, 2, 3):
+        expected = {items: c for items, c in full.items() if len(items) <= max_size}
+        assert mine_frequent_itemsets(txns, support, max_size=max_size) == expected
+        assert mine_frequent_itemsets(txns, support, masks, max_size) == expected
 
 
 def ranked_by_pair_counts(service, txns, support):
@@ -113,15 +148,15 @@ def ranked_by_pair_counts(service, txns, support):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(transactions_st,
-                 st.lists(st.frozensets(st.integers(min_value=0, max_value=15),
-                                        min_size=1, max_size=16),
-                          min_size=1, max_size=48)),
+@given(st.one_of(transactions_st, benchmark_scale_st),
        st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0]))
 def test_pair_ranking_equals_pair_counts_of_the_transactions(txns, support):
     mined = mine_frequent_itemsets(txns, support)
+    pairs = mine_frequent_itemsets(txns, support, max_size=2)
     for service in range(17):   # 16 is never in a transaction
-        assert rank_related(service, mined) == ranked_by_pair_counts(service, txns, support)
+        expected = ranked_by_pair_counts(service, txns, support)
+        assert rank_related(service, mined) == expected
+        assert rank_related(service, pairs) == expected
 
 
 # -- transaction file parsing ---------------------------------------------------

@@ -375,6 +375,18 @@ def test_tick_remines_exactly_the_nodes_whose_log_changed(cfg, monkeypatch):
     assert 0 < sum(ticks) < len(ticks) * cfg.node_count
 
 
+def test_untraced_run_mines_only_pairs_and_traced_run_mines_all():
+    # Replies read only pair supports; the traced itemsets= count reads all.
+    # test_trace_digest.py checks that both runs give the same metrics.
+    def largest_itemset(trace):
+        sim = Simulation(MINE_HEAVY, trace=trace)
+        sim.run()
+        return max(len(items) for node in sim.nodes for items in node.itemsets)
+
+    assert largest_itemset(None) == 2
+    assert largest_itemset([]) >= 3
+
+
 @pytest.mark.parametrize("log_overheard", [False, True])
 def test_mining_off_nodes_keep_no_session_log(log_overheard):
     cfg = replace(SMALL, log_overheard=log_overheard)
