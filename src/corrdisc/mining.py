@@ -10,10 +10,8 @@ from the caller, as the simulation does from each node's
 enumerates every subset of the item universe and counts containment
 directly.  Both return exact support counts.
 
-A reply ranks related services by pair supports alone, so an untraced
-simulation mines only the singletons and pairs (``max_size=2``).  A
-traced run mines every frequent itemset, since its ``mining_tick`` lines
-count them all.
+A reply ranks related services by pair supports alone, so the
+simulation mines only the singletons and pairs (``max_size=2``).
 """
 
 from __future__ import annotations
@@ -142,7 +140,7 @@ def rank_related(service: ServiceId,
     output of ``mine_frequent_itemsets`` is, so the strongest itemset
     holding ``service`` and another service is the pair of the two.  The
     output of ``mine_frequent_itemsets(..., max_size=2)``, which the
-    untraced simulation mines, therefore ranks the same as the full one.
+    simulation mines, therefore ranks the same as the full one.
     """
     best: dict[ServiceId, int] = {}
     for items, count in itemsets.items():

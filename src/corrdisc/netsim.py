@@ -256,20 +256,17 @@ class Simulation:
     def _miner(self, transactions: list[frozenset[int]],
                masks: dict[int, int]) -> dict[frozenset[int], int]:
         # ``masks`` is the log's kept bitsets of ``transactions``.  A reply
-        # ranks by pair supports alone, so an untraced run mines only the
-        # singletons and pairs; a traced run mines every frequent itemset,
-        # which its mining_tick lines count.  The cache stays because
-        # `perfbench/test_perfbench.py` asserts that each distinct snapshot
-        # is mined once; the tick skips logs whose closed sessions did not
-        # change, so few snapshots repeat (`perfbench/run.py --trace 1`:
-        # cache_hit_ratio 0.17 on mine_heavy, 0.00 on flood50).  A key holds
-        # the frozensets the logs store, not copies, so building and hashing
-        # it reuses each set's cached hash.
+        # ranks by pair supports alone, so only singletons and pairs are
+        # mined.  The cache stays because `perfbench/test_perfbench.py`
+        # asserts that each distinct snapshot is mined once; the tick skips
+        # logs whose closed sessions did not change, so few snapshots repeat
+        # (`perfbench/run.py --trace 1`: cache_hit_ratio 0.17 on mine_heavy,
+        # 0.00 on flood50).  A key holds the frozensets the logs store, not
+        # copies, so building and hashing it reuses each set's cached hash.
         key = tuple(transactions)
         cached = self._mine_cache.get(key)
         if cached is None:
-            cached = mine_frequent_itemsets(transactions, self.cfg.support, masks,
-                                            None if self.trace is not None else 2)
+            cached = mine_frequent_itemsets(transactions, self.cfg.support, masks, 2)
             self._mine_cache[key] = cached
         return cached
 
@@ -390,7 +387,7 @@ class Simulation:
                 node.remine(lambda transactions: miner(transactions, log.masks))
             if tracing:
                 self._trace(time, MINING_TICK, node.nid,
-                            f"txns={node._mined_from[1]} itemsets={len(node.itemsets)}")
+                            f"txns={node._mined_from[1]} pairs={len(node.itemsets)}")
         self._push(time + self.cfg.mining_interval, Simulation._mining_tick, ())
 
 

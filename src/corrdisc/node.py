@@ -1,11 +1,11 @@
 """Per-node protocol state machine.
 
 A node owns a bounded FIFO service table, the circular session log, the
-latest mined itemsets (only the singletons and pairs when the run is
-untraced, as a reply reads no more), duplicate-suppression and
-reverse-path memory for flooded requests, and the pending-request
-bookkeeping behind the locally-satisfied metric.  Each handler returns
-what the node sends, or ``None``; the simulation layer does the delivery.
+latest mined itemsets (only the singletons and pairs, as a reply reads
+no more), duplicate-suppression and reverse-path memory for flooded
+requests, and the pending-request bookkeeping behind the
+locally-satisfied metric.  Each handler returns what the node sends, or
+``None``; the simulation layer does the delivery.
 ``issue_request`` and ``handle_sreq`` return the packet itself: an
 ``Sreq`` floods, and an ``Srep`` answers the node the request came from.
 ``handle_srep`` returns ``(upstream, srep)``, since only the relay knows

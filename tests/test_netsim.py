@@ -375,16 +375,27 @@ def test_tick_remines_exactly_the_nodes_whose_log_changed(cfg, monkeypatch):
     assert 0 < sum(ticks) < len(ticks) * cfg.node_count
 
 
-def test_untraced_run_mines_only_pairs_and_traced_run_mines_all():
-    # Replies read only pair supports; the traced itemsets= count reads all.
-    # test_trace_digest.py checks that both runs give the same metrics.
-    def largest_itemset(trace):
+def test_traced_and_untraced_runs_mine_the_same_pairs():
+    # Replies read only pair supports, so no run mines a larger itemset.
+    def itemsets(trace):
         sim = Simulation(MINE_HEAVY, trace=trace)
         sim.run()
-        return max(len(items) for node in sim.nodes for items in node.itemsets)
+        return [node.itemsets for node in sim.nodes]
 
-    assert largest_itemset(None) == 2
-    assert largest_itemset([]) >= 3
+    traced = itemsets([])
+    assert traced == itemsets(None)
+    assert max(len(items) for mined in traced for items in mined) == 2
+
+
+@pytest.mark.parametrize("field", ["pairs", "txns"])
+def test_audit_rejects_a_wrong_tick_count(field):
+    trace = []
+    metrics = run(MINE_HEAVY, trace=trace)
+    tick = next(i for i, line in enumerate(trace)
+                if " mining_tick " in line and not line.endswith(" pairs=0"))
+    trace[tick] = re.sub(rf"{field}=(\d+)", lambda m: f"{field}={int(m[1]) + 1}", trace[tick])
+    with pytest.raises(AssertionError, match="a tick closes each session"):
+        audit(trace, MINE_HEAVY, metrics)
 
 
 @pytest.mark.parametrize("log_overheard", [False, True])

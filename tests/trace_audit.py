@@ -18,7 +18,7 @@ SREQ = "sreq origin= seq= session= svc= ttl="
 SREP = "srep responder= dest= reply= answer= ttl= related="
 LAYOUTS = {ISSUE: ["svc= session= local="], "tx_bcast": [SREQ], "tx_ucast": ["to= " + SREP],
            DELIVER: ["from= " + SREQ, "from= " + SREP], SCAN: ["expired="],
-           MINING_TICK: ["txns= itemsets="]}
+           MINING_TICK: ["txns= pairs="]}
 
 
 @lru_cache(maxsize=1024)   # every recipient of a broadcast gets the same detail
@@ -141,11 +141,11 @@ def audit(lines, config, metrics) -> Counter:
             counts["expired"] += len(expired)
         elif kind == MINING_TICK:
             closed = logs[node].close_due(now, config.session_window)
-            found = (len(mine_frequent_itemsets(closed, config.support))
+            found = (len(mine_frequent_itemsets(closed, config.support, max_size=2))
                      if len(closed) >= MIN_MINING_TRANSACTIONS else 0)
-            assert (f["txns"], f["itemsets"]) == (len(closed), found), (
+            assert (f["txns"], f["pairs"]) == (len(closed), found), (
                 at, "a tick closes each session open for session_window, and counts the "
-                    "closed sessions and the itemsets they mine to")
+                    "closed sessions and the frequent singletons and pairs they mine to")
         elif kind == "tx_bcast":
             msg_id, p = (f["origin"], f["seq"]), prev[4]
             if prev[1] == ISSUE:   # the flood of the request just issued
