@@ -10,8 +10,10 @@ from the caller, as the simulation does from each node's
 enumerates every subset of the item universe and counts containment
 directly.  Both return exact support counts.
 
-A reply ranks related services by pair supports alone, so the
-simulation mines only the singletons and pairs (``max_size=2``).
+A reply ranks related services by exact pair supports, which
+``rank_related`` reads from the vertical bitsets a node kept at its last
+re-mine, one requested service at a time; so the simulation mines only
+the singletons (``max_size=1``).
 """
 
 from __future__ import annotations
@@ -131,23 +133,26 @@ def brute_force_frequent_itemsets(transactions: Sequence[Transaction],
     return out
 
 
-def rank_related(service: ServiceId,
-                 itemsets: Mapping[frozenset[ServiceId], int]) -> list[ServiceId]:
-    """Related services ordered by strongest supporting itemset.
+def rank_related(service: ServiceId, masks: Mapping[ServiceId, int],
+                 threshold: int) -> list[ServiceId]:
+    """The services ``o`` whose pair with ``service`` is frequent,
+    ``popcount(masks[service] & masks[o]) >= threshold``, by that count
+    descending, then by id.
 
-    Ties break toward the lower service id.  Only the pairs are read:
-    ``itemsets`` must be downward closed with true supports, as every
-    output of ``mine_frequent_itemsets`` is, so the strongest itemset
-    holding ``service`` and another service is the pair of the two.  The
-    output of ``mine_frequent_itemsets(..., max_size=2)``, which the
-    simulation mines, therefore ranks the same as the full one.
+    ``masks`` are vertical bitsets as ``mine_frequent_itemsets`` takes
+    them, and ``threshold`` an absolute count (``min_count``).  Only
+    popcounts are read, so any one-to-one bit assignment ranks the same.
     """
-    best: dict[ServiceId, int] = {}
-    for items, count in itemsets.items():
-        if len(items) == 2 and service in items:
-            first, second = items
-            best[second if first == service else first] = count
-    return sorted(best, key=lambda b: (-best[b], b))
+    mask = masks.get(service, 0)
+    if mask.bit_count() < threshold:
+        return []   # no pair can be more frequent than its members
+    counts = {}
+    for other, other_mask in masks.items():
+        if other != service:
+            count = (mask & other_mask).bit_count()
+            if count >= threshold:
+                counts[other] = count
+    return sorted(counts, key=lambda o: (-counts[o], o))
 
 
 def parse_transactions_text(text: str) -> list[Transaction]:

@@ -32,7 +32,7 @@ from itertools import count
 
 from numpy.random import Generator, SeedSequence, default_rng
 
-from .mining import mine_frequent_itemsets
+from .mining import mine_frequent_itemsets, rank_related
 from .node import Node
 from .packets import ID_LIMIT, MAX_RELATED_RECORDS, Sreq, Srep
 from .workload import build_correlation_matrix, build_schedule
@@ -256,8 +256,8 @@ class Simulation:
     def _miner(self, transactions: list[frozenset[int]],
                masks: dict[int, int]) -> dict[frozenset[int], int]:
         # ``masks`` is the log's kept bitsets of ``transactions``.  A reply
-        # ranks by pair supports alone, so only singletons and pairs are
-        # mined.  The cache stays because `perfbench/test_perfbench.py`
+        # ranks from the node's copy of those bitsets, so only singletons
+        # are mined.  The cache stays because `perfbench/test_perfbench.py`
         # asserts that each distinct snapshot is mined once; the tick skips
         # logs whose closed sessions did not change, so few snapshots repeat
         # (`perfbench/run.py --trace 1`: cache_hit_ratio 0.17 on mine_heavy,
@@ -266,7 +266,7 @@ class Simulation:
         key = tuple(transactions)
         cached = self._mine_cache.get(key)
         if cached is None:
-            cached = mine_frequent_itemsets(transactions, self.cfg.support, masks, 2)
+            cached = mine_frequent_itemsets(transactions, self.cfg.support, masks, 1)
             self._mine_cache[key] = cached
         return cached
 
@@ -386,8 +386,12 @@ class Simulation:
             if log.closed_version != node._mined_from[0]:
                 node.remine(lambda transactions: miner(transactions, log.masks))
             if tracing:
+                # pairs= counts the frequent singletons and pairs; each pair
+                # is ranked from both of its members.
+                masks, threshold = node._masks, node._threshold
+                pairs = sum(len(rank_related(s, masks, threshold)) for s in masks) // 2
                 self._trace(time, MINING_TICK, node.nid,
-                            f"txns={node._mined_from[1]} pairs={len(node.itemsets)}")
+                            f"txns={node._mined_from[1]} pairs={len(node.itemsets) + pairs}")
         self._push(time + self.cfg.mining_interval, Simulation._mining_tick, ())
 
 

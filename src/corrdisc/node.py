@@ -1,11 +1,12 @@
 """Per-node protocol state machine.
 
-A node owns a bounded FIFO service table, the circular session log, the
-latest mined itemsets (only the singletons and pairs, as a reply reads
-no more), duplicate-suppression and reverse-path memory for flooded
-requests, and the pending-request bookkeeping behind the
-locally-satisfied metric.  Each handler returns what the node sends, or
-``None``; the simulation layer does the delivery.
+A node owns a bounded FIFO service table, the circular session log, what
+its last re-mine kept (the frequent singletons, and a copy of the log's
+vertical bitsets with the support count, from which a reply ranks
+related services by exact pair support), duplicate-suppression and
+reverse-path memory for flooded requests, and the pending-request
+bookkeeping behind the locally-satisfied metric.  Each handler returns
+what the node sends, or ``None``; the simulation layer does the delivery.
 ``issue_request`` and ``handle_sreq`` return the packet itself: an
 ``Sreq`` floods, and an ``Srep`` answers the node the request came from.
 ``handle_srep`` returns ``(upstream, srep)``, since only the relay knows
@@ -24,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .mining import MIN_MINING_TRANSACTIONS, rank_related
+from .mining import MIN_MINING_TRANSACTIONS, min_count, rank_related
 from .packets import Sreq, Srep
 from .sessionlog import LogDatabase
 
@@ -103,11 +104,16 @@ class Node:
         self.own_services: dict[int, ServiceRecord] = {}
         self.log = LogDatabase(config.log_capacity)
         self.itemsets: dict[frozenset[int], int] = {}
-        # service -> rank_related(service, itemsets), filled on first use and
-        # emptied whenever remine replaces itemsets.
+        # log.masks and the support count as they were at the last re-mine,
+        # so replies rank from that tick's sessions, not the live log; empty
+        # below MIN_MINING_TRANSACTIONS sessions.
+        self._masks: dict[int, int] = {}
+        self._threshold = 1
+        # service -> rank_related(service, _masks, _threshold), filled on
+        # first use and emptied at every re-mine.
         self._ranked: dict[int, list[int]] = {}
-        # (log.closed_version, transaction count) that `itemsets` was mined
-        # from; an empty log at version 0 mines to nothing.
+        # (log.closed_version, transaction count) that `itemsets` and
+        # `_masks` were kept from; an empty log at version 0 mines to nothing.
         self._mined_from = (0, 0)
         self._seen: dict[MsgId, int | None] = {}   # msg_id -> first upstream hop
         # The keys of _seen, oldest first (an id is remembered only once), so
@@ -225,13 +231,15 @@ class Node:
                                             ttl - 1, answer, related))
 
     def _pick_related(self, service: int) -> list[tuple[int, int]]:
-        """Related services the node can actually vouch for: mined as
-        co-frequent with ``service`` and present in its own knowledge.
-        Callers skip it while ``itemsets`` is empty.  The ranking is read
-        from ``_ranked``, computed once per service and mined snapshot."""
+        """Related services the node can actually vouch for: in a frequent
+        pair with ``service`` at the last re-mine and present in its own
+        knowledge.  Callers skip it while ``itemsets`` is empty, as no pair
+        is frequent then.  The ranking is read from ``_ranked``, computed
+        once per service and re-mine."""
         ranked = self._ranked.get(service)
         if ranked is None:
-            ranked = self._ranked[service] = rank_related(service, self.itemsets)
+            ranked = self._ranked[service] = rank_related(service, self._masks,
+                                                          self._threshold)
         picks = []
         for other in ranked:
             record = self.lookup(other)
@@ -244,13 +252,17 @@ class Node:
     # -- periodic duties ----------------------------------------------------
 
     def remine(self, miner) -> None:
-        """Mine the log's closed sessions on every call; ``_mining_tick`` calls
-        it only when the log's ``closed_version`` moved since the last mine."""
+        """Mine the log's closed sessions and keep a copy of its masks and
+        the support count, on every call; ``_mining_tick`` calls it only
+        when the log's ``closed_version`` moved since the last mine."""
         transactions = self.log.snapshot_transactions()
         if len(transactions) >= MIN_MINING_TRANSACTIONS:
             self.itemsets = miner(transactions)
+            self._masks = self.log.masks.copy()
+            self._threshold = min_count(self.cfg.support, len(transactions))
         else:
             self.itemsets = {}
+            self._masks = {}
         self._ranked = {}
         self._mined_from = (self.log.closed_version, len(transactions))
 

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 from corrdisc.mining import (MAX_ORACLE_UNIVERSE, brute_force_frequent_itemsets,
                              min_count, mine_frequent_itemsets,
                              parse_transactions_text, rank_related)
+from trace_audit import ranked_by_pair_counts
 
 
 def fs(*items):
@@ -87,9 +87,13 @@ def test_brute_force_universe_guard():
 # -- related services ----------------------------------------------------------
 
 def test_rank_related_order():
-    itemsets = {fs(1, 2): 3, fs(1, 3): 5, fs(1, 4): 5}
-    # 3 and 4 tie on support 5 -> ascending id; 2 trails on support 3.
-    assert rank_related(1, itemsets) == [3, 4, 2]
+    masks = {1: 0b11111, 2: 0b00111, 3: 0b11111, 4: 0b11111, 5: 0b00001, 6: 0b11100}
+    # 3 and 4 tie on count 5 -> ascending id; 2 and 6 trail on count 3;
+    # 5 shares one transaction only, below the threshold of 2.
+    assert rank_related(1, masks, 2) == [3, 4, 2, 6]
+    assert rank_related(1, masks, 4) == [3, 4]
+    assert rank_related(5, masks, 2) == []   # 5 itself is below the threshold
+    assert rank_related(7, masks, 1) == []   # 7 is in no transaction
 
 
 # -- property tests against the oracle ----------------------------------------
@@ -121,16 +125,22 @@ def test_miner_matches_oracle_at_benchmark_scale(txns, support):
         brute_force_frequent_itemsets(txns, support)
 
 
+def masks_of(txns, bits):
+    """Vertical bitsets of ``txns``, transaction ``t`` on bit ``bits[t]``."""
+    masks = {}
+    for items, bit in zip(txns, bits):
+        for item in items:
+            masks[item] = masks.get(item, 0) | 1 << bit
+    return masks
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(transactions_st, benchmark_scale_st), st.sampled_from([0.3, 0.5, 0.8]),
        st.randoms(use_true_random=False))
 def test_truncated_mining_equals_the_filtered_oracle(txns, support, rng):
     # Masks as a LogDatabase keeps them: each transaction's bit is the slot
     # it happens to hold in the ring, not its index in the snapshot.
-    masks = {}
-    for items, slot in zip(txns, rng.sample(range(64), len(txns))):
-        for item in items:
-            masks[item] = masks.get(item, 0) | 1 << slot
+    masks = masks_of(txns, rng.sample(range(64), len(txns)))
     full = brute_force_frequent_itemsets(txns, support)
     for max_size in (1, 2, 3):
         expected = {items: c for items, c in full.items() if len(items) <= max_size}
@@ -138,25 +148,18 @@ def test_truncated_mining_equals_the_filtered_oracle(txns, support, rng):
         assert mine_frequent_itemsets(txns, support, masks, max_size) == expected
 
 
-def ranked_by_pair_counts(service, txns, support):
-    """The services that share at least the support count of transactions
-    with ``service``, by that count descending, then by id: counted
-    straight from the transactions."""
-    pairs = Counter(other for t in txns if service in t for other in t - {service})
-    threshold = min_count(support, len(txns))
-    return sorted((o for o in pairs if pairs[o] >= threshold), key=lambda o: (-pairs[o], o))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(transactions_st, benchmark_scale_st),
-       st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0]))
-def test_pair_ranking_equals_pair_counts_of_the_transactions(txns, support):
-    mined = mine_frequent_itemsets(txns, support)
-    pairs = mine_frequent_itemsets(txns, support, max_size=2)
-    for service in range(17):   # 16 is never in a transaction
-        expected = ranked_by_pair_counts(service, txns, support)
-        assert rank_related(service, mined) == expected
-        assert rank_related(service, pairs) == expected
+       st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0]), st.randoms(use_true_random=False))
+def test_pair_ranking_equals_pair_counts_of_the_transactions(txns, support, rng):
+    # Masks by snapshot position, and with the slot bits a LogDatabase's
+    # ring would give them.
+    threshold = min_count(support, len(txns))
+    for masks in (masks_of(txns, range(len(txns))),
+                  masks_of(txns, rng.sample(range(64), len(txns)))):
+        for service in range(17):   # 16 is never in a transaction
+            expected = ranked_by_pair_counts(service, txns, support)
+            assert rank_related(service, masks, threshold) == expected
 
 
 # -- transaction file parsing ---------------------------------------------------

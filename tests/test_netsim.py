@@ -190,6 +190,7 @@ AUDITED = {"golden_regression": GOLDEN_REGRESSION, "golden_dense": GOLDEN_DENSE,
               for v, on in (("off", False), ("on", True))},
            "flood50_off": replace(FLOOD50, mining_enabled=False), "flood50_on": FLOOD50,
            **{f"mine_heavy_seed{s}": replace(MINE_HEAVY, seed=s) for s in range(3)},
+           "mine_heavy_related3": replace(MINE_HEAVY, max_related=3),
            "churn": CHURN}
 # A seen memory of one or two ids makes relays drop replies both for an id
 # they forgot and, on a reverse path that loops, for a spent ttl.
@@ -376,15 +377,16 @@ def test_tick_remines_exactly_the_nodes_whose_log_changed(cfg, monkeypatch):
 
 
 def test_traced_and_untraced_runs_mine_the_same_pairs():
-    # Replies read only pair supports, so no run mines a larger itemset.
-    def itemsets(trace):
+    # Replies rank pairs from the kept masks, so every run mines singletons only.
+    def kept(trace):
         sim = Simulation(MINE_HEAVY, trace=trace)
         sim.run()
-        return [node.itemsets for node in sim.nodes]
+        return [(node.itemsets, node._masks, node._threshold) for node in sim.nodes]
 
-    traced = itemsets([])
-    assert traced == itemsets(None)
-    assert max(len(items) for mined in traced for items in mined) == 2
+    traced = kept([])
+    assert traced == kept(None)
+    assert max(len(items) for mined, _, _ in traced for items in mined) == 1
+    assert all(masks for _, masks, _ in traced)
 
 
 @pytest.mark.parametrize("field", ["pairs", "txns"])
@@ -395,6 +397,25 @@ def test_audit_rejects_a_wrong_tick_count(field):
                 if " mining_tick " in line and not line.endswith(" pairs=0"))
     trace[tick] = re.sub(rf"{field}=(\d+)", lambda m: f"{field}={int(m[1]) + 1}", trace[tick])
     with pytest.raises(AssertionError, match="a tick closes each session"):
+        audit(trace, MINE_HEAVY, metrics)
+
+
+@pytest.mark.parametrize("rewrite, law", [
+    (lambda answer, svc, provider: f"{svc}@{provider + 1}", "true provider"),
+    (lambda answer, svc, provider: answer, "partners of it in frequent pairs"),
+], ids=["provider", "service"])
+def test_audit_rejects_a_wrong_related_record(rewrite, law):
+    trace = []
+    sim = Simulation(MINE_HEAVY, trace=trace)
+    metrics = sim.run()
+    line = next(i for i, text in enumerate(trace)
+                if " tx_ucast " in text and not text.endswith("related=[]"))
+    answer = re.search(r"answer=(\S+)", trace[line])[1]
+    svc, provider = map(int, re.search(r"related=\[(\d+)@(\d+)", trace[line]).groups())
+    assert sim.placement[svc] == provider
+    trace[line] = trace[line].replace(f"related=[{svc}@{provider}",
+                                      f"related=[{rewrite(answer, svc, provider)}")
+    with pytest.raises(AssertionError, match=law):
         audit(trace, MINE_HEAVY, metrics)
 
 

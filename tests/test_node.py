@@ -1,10 +1,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrdisc.mining import mine_frequent_itemsets, rank_related
+from corrdisc.mining import MIN_MINING_TRANSACTIONS, mine_frequent_itemsets, rank_related
 from corrdisc.netsim import Metrics, SimConfig
 from corrdisc.node import Node, ServiceRecord, ServiceTable
 from corrdisc.packets import Sreq, Srep
+from trace_audit import ranked_by_pair_counts
 
 
 def make_node(nid=0, **overrides) -> Node:
@@ -18,6 +19,16 @@ def rec(service, provider=9, piggybacked=False):
 
 def fs(*items):
     return frozenset(items)
+
+
+def mine_sessions(node, sessions):
+    """Log each of ``sessions`` under consumer 5, close them all and re-mine
+    at the node's support."""
+    for seq, services in enumerate(sessions):
+        for service in services:
+            node.log.record_request((5, seq), service, now=float(seq))
+    node.log.close_stale_sessions(now=100.0, session_window=1.0)
+    node.remine(lambda txns: mine_frequent_itemsets(txns, node.cfg.support))
 
 
 # -- service table ------------------------------------------------------------
@@ -110,7 +121,7 @@ def test_handle_sreq_answers_with_related_from_table():
     node = make_node(nid=2)
     node._learn(3, 5, False)
     node._learn(7, 6, False)
-    node.itemsets = {fs(3, 7): 4}
+    mine_sessions(node, [{3, 7}] * 4)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     srep = node.handle_sreq(sreq, from_node=3, now=2.0)
     # The bare packet: the engine sends an answer back to from_node.
@@ -124,20 +135,23 @@ def test_handle_sreq_answers_with_related_from_table():
 def test_handle_sreq_related_filtered_to_known_services():
     node = make_node(nid=2)
     node._learn(3, 5, False)
-    node.itemsets = {fs(3, 9): 4}   # 9 is co-frequent but unknown here
+    mine_sessions(node, [{3, 9}] * 4)   # 9 is co-frequent but unknown here
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     srep = node.handle_sreq(sreq, from_node=1, now=2.0)
     assert srep.related == ()
 
 
 def test_handle_sreq_related_capped_and_ranked():
-    node = make_node(nid=2, max_related=2)
+    node = make_node(nid=2, max_related=2, support=0.3)
     for service, provider in ((3, 5), (6, 1), (7, 1), (8, 1)):
         node._learn(service, provider, False)
-    node.itemsets = {fs(3, 6): 2, fs(3, 7): 5, fs(3, 8): 5}
+    # Pair counts with 3: 7 and 8 in all 5 sessions, 6 in 2, at least the
+    # threshold ceil(0.3 * 5) = 2.
+    mine_sessions(node, [{3, 6, 7, 8}] * 2 + [{3, 7, 8}] * 3)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     srep = node.handle_sreq(sreq, from_node=1, now=2.0)
     # Strongest support first, ties toward the lower id, capped at 2.
+    assert node._ranked[3] == [7, 8, 6]
     assert srep.related == ((7, 1), (8, 1))
 
 
@@ -274,11 +288,18 @@ def test_remine_respects_minimum_database():
         node.log.record_request((5, i), 1, now=float(i))
     node.log.close_stale_sessions(now=100.0, session_window=1.0)
     node.remine(miner)
-    assert node.itemsets == {}
+    assert (node.itemsets, node._masks) == ({}, {})
     node.log.record_request((5, 2), 1, now=200.0)
     node.log.close_stale_sessions(now=300.0, session_window=1.0)
     node.remine(miner)
     assert node.itemsets == {fs(1): 3}
+    # The masks and the count ceil(0.8 * 3) are kept as they were at the
+    # re-mine: a later close changes the live log only.
+    kept = dict(node.log.masks)
+    assert (node._masks, node._threshold) == (kept, 3)
+    node.log.record_request((5, 3), 1, now=400.0)
+    node.log.close_stale_sessions(now=500.0, session_window=1.0)
+    assert node._masks == kept != node.log.masks
 
 
 def test_remine_mines_on_every_call():
@@ -305,10 +326,18 @@ def test_remine_mines_on_every_call():
     assert node._mined_from == (node.log.closed_version, 3)
 
 
+def fresh_ranking(node, service):
+    """``service``'s ranking counted straight from the log's closed sessions."""
+    txns = node.log.snapshot_transactions()
+    if len(txns) < MIN_MINING_TRANSACTIONS:
+        return []
+    return ranked_by_pair_counts(service, txns, node.cfg.support)
+
+
 def fresh_picks(node, service):
-    """_pick_related as it reads without the memo."""
+    """_pick_related as it reads without the memo or the kept masks."""
     picks = []
-    for other in rank_related(service, node.itemsets):
+    for other in fresh_ranking(node, service):
         record = node.lookup(other)
         if record is not None:
             picks.append((other, record.provider))
@@ -328,7 +357,7 @@ sessions = st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=5),
 def test_memoized_picks_equal_fresh_ranking_across_remines(first, later, known, requests,
                                                             support, max_related):
     node = make_node(nid=2, max_related=max_related, cache_capacity=16, log_capacity=48,
-                     log_overheard=True)
+                     log_overheard=True, support=support)
     for service in known:
         node._learn(service, 20 + service, False)
     miner = lambda txns: mine_frequent_itemsets(txns, support)
@@ -343,15 +372,15 @@ def test_memoized_picks_equal_fresh_ranking_across_remines(first, later, known, 
         assert node._ranked == {}   # a re-mine drops every memoized ranking
         for service in requests + requests:
             assert node._pick_related(service) == fresh_picks(node, service)
-            assert node._ranked[service] == rank_related(service, node.itemsets)
+            assert node._ranked[service] == fresh_ranking(node, service)
 
 
 def test_pick_related_ranks_each_service_once_per_mine(monkeypatch):
     calls = []
 
-    def counted(service, itemsets):
+    def counted(service, masks, threshold):
         calls.append(service)
-        return rank_related(service, itemsets)
+        return rank_related(service, masks, threshold)
 
     monkeypatch.setattr("corrdisc.node.rank_related", counted)
     node = make_node(nid=2, log_overheard=True)
@@ -361,15 +390,17 @@ def test_pick_related_ranks_each_service_once_per_mine(monkeypatch):
         node.log.record_request((5, seq), 3, now=float(seq))
         node.log.record_request((5, seq), 7, now=float(seq))
     node.log.close_stale_sessions(now=100.0, session_window=1.0)
-    node.remine(lambda txns: mine_frequent_itemsets(txns, 0.5))
+    miner = lambda txns: mine_frequent_itemsets(txns, node.cfg.support)
+    node.remine(miner)
     for seq in range(3):
         srep = node.handle_sreq(Sreq(1, seq, 0, 3, 8), from_node=1, now=101.0)
         assert srep.related == ((7, 6),)
     assert calls == [3]
     node.log.record_request((5, 3), 3, now=102.0)
     node.log.close_stale_sessions(now=200.0, session_window=1.0)
-    node.remine(lambda txns: {fs(3, 7): 1, fs(3): 4, fs(7): 3})
-    node.handle_sreq(Sreq(1, 9, 0, 3, 8), from_node=1, now=201.0)
+    node.remine(miner)
+    # The pair {3, 7} is in 3 of 4 sessions, below ceil(0.8 * 4) = 4 now.
+    assert node.handle_sreq(Sreq(1, 9, 0, 3, 8), from_node=1, now=201.0).related == ()
     assert calls == [3, 3]
 
 

@@ -11,7 +11,7 @@ from collections import Counter, deque
 from functools import lru_cache
 from itertools import count, zip_longest
 
-from corrdisc.mining import MIN_MINING_TRANSACTIONS, mine_frequent_itemsets
+from corrdisc.mining import MIN_MINING_TRANSACTIONS, min_count, mine_frequent_itemsets
 from corrdisc.netsim import DELIVER, ISSUE, MINING_TICK, SCAN, SCAN_INTERVAL, Simulation
 
 SREQ = "sreq origin= seq= session= svc= ttl="
@@ -44,6 +44,21 @@ def lowered(delivered: dict) -> dict:
     fields = {**delivered, "ttl": delivered["ttl"] - 1}
     del fields["from"]
     return fields
+
+
+def ranked_by_pair_counts(service, txns, support):
+    """The services that share at least the support count of transactions
+    with ``service``, by that count descending, then by id: counted
+    straight from the transactions."""
+    pairs = Counter(other for t in txns if service in t for other in t - {service})
+    threshold = min_count(support, len(txns))
+    return sorted((o for o in pairs if pairs[o] >= threshold), key=lambda o: (-pairs[o], o))
+
+
+def records(detail: dict) -> list:
+    """``(service, provider)`` of an SREP's answer, then of its related records."""
+    texts = [detail["answer"], *filter(None, detail["related"][1:-1].split(","))]
+    return [tuple(map(int, text.split("@"))) for text in texts]
 
 
 class SessionLog:
@@ -89,6 +104,9 @@ def audit(lines, config, metrics) -> Counter:
     deliveries = deque()   # (due, order, recipient, detail) of each delivery to come
     seen = [{} for _ in adjacency]   # each node's seen memory: SREQ id -> upstream, oldest first
     logs = [SessionLog(config.log_capacity) for _ in adjacency]
+    # Each node's closed sessions at its last tick, if enough to mine, and
+    # the rankings read from them so far: service -> ranked partners.
+    kept = [([], {}) for _ in adjacency]
     logging, overheard = config.mining_enabled, config.mining_enabled and config.log_overheard
     pending, counts = {}, Counter()   # SREQ id -> its request's time, until answered or expired
 
@@ -146,6 +164,7 @@ def audit(lines, config, metrics) -> Counter:
             assert (f["txns"], f["pairs"]) == (len(closed), found), (
                 at, "a tick closes each session open for session_window, and counts the "
                     "closed sessions and the frequent singletons and pairs they mine to")
+            kept[node] = (closed if len(closed) >= MIN_MINING_TRANSACTIONS else [], {})
         elif kind == "tx_bcast":
             msg_id, p = (f["origin"], f["seq"]), prev[4]
             if prev[1] == ISSUE:   # the flood of the request just issued
@@ -159,8 +178,21 @@ def audit(lines, config, metrics) -> Counter:
             deliveries.extend((*due, to, f"from={node} {detail}") for to in adjacency[node])
         elif kind == "tx_ucast":
             assert config.mining_enabled or f["related"] == "[]", (at, "no mining, no related")
+            answer, *related = records(f)
+            assert all(sim.placement[svc] == provider for svc, provider in [answer, *related]), (
+                at, "every record names its service's true provider")
             if "origin" in prev[4]:   # an answer to the SREQ just delivered
-                counts["related"] += f["related"].count("@")
+                counts["related"] += len(related)
+                closed, rankings = kept[node]
+                requested = prev[4]["svc"]
+                if requested not in rankings:
+                    rankings[requested] = ranked_by_pair_counts(requested, closed, config.support)
+                related = [svc for svc, _ in related]
+                assert answer[0] == requested and related == [
+                    svc for svc in rankings[requested] if svc in related], (
+                    at, "an answer names the requested service, and its related records are "
+                        "partners of it in frequent pairs of the responder's closed sessions "
+                        "at its last tick, in ranking order")
             else:                     # a forward of the SREP just delivered
                 assert {**lowered(prev[4]), "to": f["to"]} == f, (at, "a relay lowers the ttl")
             deliveries.append((now + hop, next(order), f["to"],
