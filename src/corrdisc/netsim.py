@@ -7,8 +7,12 @@ runs of the same config produce identical metrics and traces.  Timers
 wait in a heap and deliveries in a FIFO, which stays sorted because each
 delivery is due one fixed hop latency after the never-decreasing clock.
 The loop routes each packet by its kind: an SREQ broadcast visits its
-recipients in adjacency order, skipping those that have seen it, and an
-SREP, always a unicast, goes straight to its one recipient.
+recipients in adjacency order, skipping those that remember its id, and an
+SREP, always a unicast, goes straight to its one recipient.  Every node's
+seen memory lives in one flood table per run (``node.py``): a row per
+flood, one slot per node, kept for the whole run.  The loop reads a
+broadcast's row once, so the duplicate check of each recipient is a list
+slot, not a hash of the id.
 A timer's heap entry carries the plain function that runs it, so the loop
 compares no event kind.  One mining tick per interval visits every node in
 id order, closes its due sessions and re-mines it if its closed sessions
@@ -219,7 +223,10 @@ class Simulation:
         self.cm = build_correlation_matrix(config.service_count, workload_rng)
         self.schedule = build_schedule(config, self.cm, workload_rng)
         self.metrics = Metrics()
-        self.nodes = [Node(i, config, self.metrics) for i in range(config.node_count)]
+        # One flood table, shared by the nodes: msg_id -> each node's slot.
+        self._floods: dict[tuple[int, int], list[int | None]] = {}
+        self.nodes = [Node(i, config, self.metrics, self._floods)
+                      for i in range(config.node_count)]
         for service, provider in self.placement.items():
             self.nodes[provider].host_service(service)
         self._heap: list = []
@@ -314,27 +321,28 @@ class Simulation:
         return m
 
     def _loop(self) -> None:
-        heap, deliveries, nodes = self._heap, self._deliveries, self.nodes
-        seen = [node._seen for node in nodes]  # a node never rebinds its _seen
+        heap, deliveries, nodes, floods = self._heap, self._deliveries, self.nodes, self._floods
         end = (self.cfg.sim_duration, -1)  # sorts after every event due before the end
         tracing = self.trace is not None
         broadcast, unicast = self.deliver_broadcast, self.deliver_unicast
         while True:
             # Run the deliveries that sort before the timer at the heap's head
             # (never empty: SCAN reschedules itself), then that timer's function.
-            # SREQ recipients go in adjacency order; one that has seen the
-            # request already is skipped (its deliver line still shows).
+            # SREQ recipients go in adjacency order; one that remembers the
+            # request's id is skipped (its deliver line still shows).  The
+            # flood's row exists, since its sender issued or handled it, and
+            # a handler only writes slots, so it is read once per broadcast.
             limit = min(heap[0], end)
             while deliveries and deliveries[0] < limit:
                 time, _, recipients, from_node, packet = deliveries.popleft()
                 if tracing:
                     detail = f"from={from_node} " + _packet_detail(packet)
                 if isinstance(packet, Sreq):
-                    msg_id = (packet[0], packet[1])
+                    row = floods[packet[0], packet[1]]
                     for to in recipients:
                         if tracing:
                             self._trace(time, DELIVER, to, detail)
-                        if msg_id in seen[to]:
+                        if row[to] is not None:
                             continue
                         out = Node.handle_sreq(nodes[to], packet, from_node, time)
                         if isinstance(out, Sreq):

@@ -3,14 +3,22 @@
 A node owns a bounded FIFO service table, the circular session log, what
 its last re-mine kept (the frequent singletons, and a copy of the log's
 vertical bitsets with the support count, from which a reply ranks
-related services by exact pair support), duplicate-suppression and
-reverse-path memory for flooded requests, and the pending-request
-bookkeeping behind the locally-satisfied metric.  Each handler returns
-what the node sends, or ``None``; the simulation layer does the delivery.
-``issue_request`` and ``handle_sreq`` return the packet itself: an
-``Sreq`` floods, and an ``Srep`` answers the node the request came from.
-``handle_srep`` returns ``(upstream, srep)``, since only the relay knows
-its stored upstream hop.
+related services by exact pair support), its seen memory of flooded
+requests, and the pending-request bookkeeping behind the
+locally-satisfied metric.  Each handler returns what the node sends, or
+``None``; the simulation layer does the delivery.  ``issue_request``
+and ``handle_sreq`` return the packet itself: an ``Sreq`` floods, and an
+``Srep`` answers the node the request came from.  ``handle_srep``
+returns ``(upstream, srep)``, since only the relay knows its stored
+upstream hop.
+
+The seen memory suppresses duplicate copies of a flood and keeps the
+reverse path a reply retraces.  It lives in the run's flood table, which
+all nodes share: ``msg_id -> row``, a row per flood with one slot per
+node, kept for the whole run.  A node's slot holds its first upstream hop
+of that flood, ``ORIGINATED`` if it issued the request, or ``None`` while
+it does not remember the id.  A node remembers at most ``seen_capacity``
+ids; at capacity, it empties the slot of its oldest one.
 
 Every node a reply passes learns its records (``Node._learn``).  A run
 relays replies hundreds of thousands of times, so each hop is kept cheap:
@@ -33,6 +41,8 @@ if TYPE_CHECKING:
     from .netsim import Metrics, SimConfig
 
 MsgId = tuple[int, int]
+
+ORIGINATED = -1  # the flood table slot of a request's origin; no node id is negative
 
 _new_packet = tuple.__new__  # _new_packet(Srep, fields) is a real Srep
 
@@ -86,7 +96,8 @@ class ServiceTable:
 
 
 class Node:
-    def __init__(self, nid: int, config: "SimConfig", metrics: "Metrics"):
+    def __init__(self, nid: int, config: "SimConfig", metrics: "Metrics",
+                 floods: dict[MsgId, list[int | None]] | None = None):
         self.nid = nid
         self.cfg = config
         self.metrics = metrics
@@ -115,9 +126,12 @@ class Node:
         # (log.closed_version, transaction count) that `itemsets` and
         # `_masks` were kept from; an empty log at version 0 mines to nothing.
         self._mined_from = (0, 0)
-        self._seen: dict[MsgId, int | None] = {}   # msg_id -> first upstream hop
-        # The keys of _seen, oldest first (an id is remembered only once), so
-        # eviction need not walk the deleted slots at the front of the dict.
+        # The seen memory is this node's slot of each row of the flood table
+        # (module docstring).  The Simulation passes every node its one
+        # table; a standalone node gets a private one.
+        self._floods = {} if floods is None else floods
+        # The ids whose slot this node holds, oldest first (an id is
+        # remembered only once); the oldest one's slot is emptied first.
         self._seen_order: deque[MsgId] = deque()
         self._pending: dict[MsgId, float] = {}   # msg_id -> issue time
         self._next_seq = 0
@@ -155,12 +169,18 @@ class Node:
 
     # -- duplicate suppression / reverse path ------------------------------
 
-    def _remember(self, msg_id: MsgId) -> None:  # an id this node originated
-        seen = self._seen
-        if len(seen) >= self._seen_capacity:
-            del seen[self._seen_order.popleft()]
-        seen[msg_id] = None
-        self._seen_order.append(msg_id)
+    def _remember(self, msg_id: MsgId, upstream: int) -> None:
+        """Hold ``upstream`` in this node's slot of the flood ``msg_id``, an
+        id it does not remember; at ``seen_capacity`` it first forgets its
+        oldest id.  A missing row is created."""
+        floods, order, nid = self._floods, self._seen_order, self.nid
+        if len(order) >= self._seen_capacity:
+            floods[order.popleft()][nid] = None
+        row = floods.get(msg_id)
+        if row is None:
+            row = floods[msg_id] = [None] * self.cfg.node_count
+        row[nid] = upstream
+        order.append(msg_id)
 
     # -- protocol handlers --------------------------------------------------
 
@@ -179,7 +199,7 @@ class Node:
         seq = self._next_seq
         self._next_seq += 1
         sreq = Sreq(self.nid, seq, session_seq, service, self._initial_ttl)
-        self._remember(sreq.msg_id)
+        self._remember(sreq.msg_id, ORIGINATED)
         self._pending[sreq.msg_id] = now
         m.broadcasts_originated += 1
         return sreq
@@ -189,12 +209,15 @@ class Node:
         (``Simulation._loop``) drops duplicates before calling."""
         origin, seq, session_seq, requested, ttl = sreq
         msg_id = (origin, seq)
-        seen = self._seen
         # _remember, inlined: this runs once per first copy of a flood.
-        if len(seen) >= self._seen_capacity:
-            del seen[self._seen_order.popleft()]
-        seen[msg_id] = from_node
-        self._seen_order.append(msg_id)
+        floods, order, nid = self._floods, self._seen_order, self.nid
+        if len(order) >= self._seen_capacity:
+            floods[order.popleft()][nid] = None
+        row = floods.get(msg_id)
+        if row is None:
+            row = floods[msg_id] = [None] * self.cfg.node_count
+        row[nid] = from_node
+        order.append(msg_id)
         if self._log_overheard:
             self.log.record_request((origin, session_seq), requested, now)
         record = self.own_services.get(requested) or self._records.get(requested)
@@ -223,8 +246,9 @@ class Node:
             return None
         # A relay that forgot the id and then handled a later copy stored a
         # new upstream, so a reverse path can loop; the TTL ends the loop.
-        upstream = self._seen.get(in_reply_to)
-        if upstream is None or ttl <= 0:
+        row = self._floods.get(in_reply_to)
+        upstream = None if row is None else row[self.nid]
+        if upstream is None or upstream == ORIGINATED or ttl <= 0:
             self.metrics.packets_dropped += 1
             return None
         return upstream, _new_packet(Srep, (responder, destination, in_reply_to,

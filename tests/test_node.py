@@ -3,9 +3,9 @@ from hypothesis import strategies as st
 
 from corrdisc.mining import MIN_MINING_TRANSACTIONS, mine_frequent_itemsets, rank_related
 from corrdisc.netsim import Metrics, SimConfig
-from corrdisc.node import Node, ServiceRecord, ServiceTable
+from corrdisc.node import ORIGINATED, Node, ServiceRecord, ServiceTable
 from corrdisc.packets import Sreq, Srep
-from trace_audit import ranked_by_pair_counts
+from trace_audit import SeenMemory, ranked_by_pair_counts
 
 
 def make_node(nid=0, **overrides) -> Node:
@@ -417,7 +417,61 @@ def test_seen_memory_bounded():
     for seq in range(10):
         node.handle_sreq(Sreq(origin=1, seq=seq, session_seq=0, requested=3, ttl=0),
                          from_node=1, now=0.0)
-    assert list(node._seen) == list(node._seen_order) == [(1, seq) for seq in range(6, 10)]
+    assert list(node._seen_order) == [(1, seq) for seq in range(6, 10)]
+    assert [node._floods[1, seq][0] for seq in range(10)] == [None] * 6 + [1] * 4
+    # A copy of a forgotten id is handled again, and its reply goes to the
+    # new upstream; a reply to an id the node never saw is dropped.
+    again = node.handle_sreq(Sreq(1, 0, 0, 3, ttl=2), from_node=2, now=1.0)
+    assert again == Sreq(1, 0, 0, 3, 1)
+    assert list(node._seen_order) == [(1, seq) for seq in (7, 8, 9, 0)]
+    assert node._floods[1, 6][0] is None
+    srep = Srep(responder=3, destination=1, in_reply_to=(1, 0), ttl=8, answer=(3, 3),
+                related=())
+    assert node.handle_srep(srep) == (2, srep._replace(ttl=7))
+    assert node.handle_srep(srep._replace(in_reply_to=(2, 0))) is None
+    assert node.metrics.packets_dropped == 1
+
+
+# Node 0 issues requests (0, 0), (0, 1), ... and sees copies of the ids of
+# origins 0-2 from its neighbours 1-3; a relayed reply goes towards node 3.
+SEEN_IDS = [(origin, seq) for origin in range(3) for seq in range(6)]
+SEEN_OPS = st.lists(st.one_of(
+    st.tuples(st.just("issue")),
+    st.tuples(st.just("sreq"), st.sampled_from(SEEN_IDS), st.integers(1, 3)),
+    st.tuples(st.just("srep"), st.sampled_from(SEEN_IDS), st.integers(0, 2))), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEN_OPS, st.integers(1, 4))
+def test_seen_memory_matches_the_reference_model(ops, capacity):
+    # The node's slots of its flood table against SeenMemory, op by op.  A
+    # copy is handled only while the model does not remember its id, as
+    # the loop skips the others; a node sees copies only of its own ids
+    # that it has issued.  Service 0 is requested and service 1 answered,
+    # so every request floods.
+    node = make_node(seen_capacity=capacity)
+    memory = SeenMemory(capacity)
+    for op in ops:
+        if op[0] == "issue":
+            if node._next_seq < 6:
+                memory.remember(node.issue_request(0, 0, now=0.0).msg_id, None)
+        elif op[0] == "sreq":
+            (origin, seq), from_node = op[1], op[2]
+            if (origin, seq) not in memory and (origin != 0 or seq < node._next_seq):
+                node.handle_sreq(Sreq(origin, seq, 0, 0, 1), from_node, now=0.0)
+                memory.remember((origin, seq), from_node)
+        else:
+            msg_id, ttl = op[1], op[2]
+            srep = Srep(2, 3, msg_id, ttl, (1, 2), ())
+            upstream = memory.get(msg_id)
+            if upstream is None or ttl <= 0:
+                assert node.handle_srep(srep) is None
+            else:
+                assert node.handle_srep(srep) == (upstream, srep._replace(ttl=ttl - 1))
+        assert list(node._seen_order) == list(memory)
+        slots = {msg_id: row[0] for msg_id, row in node._floods.items() if row[0] is not None}
+        assert slots == {msg_id: ORIGINATED if upstream is None else upstream
+                         for msg_id, upstream in memory.items()}
 
 
 # -- the in-place learn path against the table's own semantics ----------------

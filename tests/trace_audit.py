@@ -2,9 +2,10 @@
 
 The auditor rebuilds each node's seen memory and session log from the trace
 and the config alone, so it checks relays, drops and mining ticks without
-reading the engine's state.  Its session log, ``SessionLog``, is also the
-reference that ``tests/test_sessionlog.py`` checks ``LogDatabase`` against,
-op by op."""
+reading the engine's state.  Its models are also the references that the
+unit tests check the engine against, op by op: ``SessionLog`` for
+``LogDatabase`` (``tests/test_sessionlog.py``), and ``SeenMemory`` for a
+node's slots of the flood table (``tests/test_node.py``)."""
 
 import re
 from collections import Counter, deque
@@ -86,6 +87,21 @@ class SessionLog:
         return [record[3] for record in self.records if not record[4]]
 
 
+class SeenMemory(dict):
+    """A node's seen memory as the trace builds it: SREQ id -> the upstream
+    hop of the first copy the node handled, or ``None`` for a request it
+    issued; at most ``capacity`` ids, oldest first."""
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = capacity
+
+    def remember(self, msg_id, upstream) -> None:
+        if len(self) == self.capacity:
+            del self[next(iter(self))]   # forget the oldest id
+        self[msg_id] = upstream
+
+
 def audit(lines, config, metrics) -> Counter:
     """Check every law on the lines of one run of ``config``; count each kind."""
     sim = Simulation(config)   # the run's topology and schedule, before it runs
@@ -102,19 +118,13 @@ def audit(lines, config, metrics) -> Counter:
               MINING_TICK: config.mining_interval if config.mining_enabled else end}
     timers = {kind: (period[kind], next(order)) for kind in period}
     deliveries = deque()   # (due, order, recipient, detail) of each delivery to come
-    seen = [{} for _ in adjacency]   # each node's seen memory: SREQ id -> upstream, oldest first
+    seen = [SeenMemory(config.seen_capacity) for _ in adjacency]
     logs = [SessionLog(config.log_capacity) for _ in adjacency]
     # Each node's closed sessions at its last tick, if enough to mine, and
     # the rankings read from them so far: service -> ranked partners.
     kept = [([], {}) for _ in adjacency]
     logging, overheard = config.mining_enabled, config.mining_enabled and config.log_overheard
     pending, counts = {}, Counter()   # SREQ id -> its request's time, until answered or expired
-
-    def remember(node, msg_id, upstream):
-        memory = seen[node]
-        if len(memory) == config.seen_capacity:
-            del memory[next(iter(memory))]   # forget the oldest id
-        memory[msg_id] = upstream
 
     prev, now, expect = (None, None, None, None, {}), 0.0, None
     # What the last line lets its node send next (kind -> its to=), whether
@@ -171,7 +181,7 @@ def audit(lines, config, metrics) -> Counter:
                 assert [p["session"], p["svc"], node, config.initial_ttl] == [
                     f["session"], f["svc"], f["origin"], f["ttl"]], (at, "a flood's first SREQ")
                 pending[msg_id] = now
-                remember(node, msg_id, None)
+                seen[node].remember(msg_id, None)
             else:
                 assert lowered(p) == f, (at, "a relay lowers the ttl")
             due = (now + hop, next(order))
@@ -202,7 +212,7 @@ def audit(lines, config, metrics) -> Counter:
                    "and a handled copy with ttl > 0 yields one transmission")
             msg_id = (f["origin"], f["seq"])
             if msg_id not in seen[node]:
-                remember(node, msg_id, f["from"])
+                seen[node].remember(msg_id, f["from"])
                 if overheard:
                     logs[node].log(f["origin"], f["session"], f["svc"], now)
                 owed = f["ttl"] > 0
