@@ -10,9 +10,10 @@ The loop routes each packet by its kind: an SREQ broadcast visits its
 recipients in adjacency order, skipping those that remember its id, and an
 SREP, always a unicast, goes straight to its one recipient.  Every node's
 seen memory lives in one flood table per run (``node.py``): a row per
-flood, one slot per node, kept for the whole run.  The loop reads a
-broadcast's row once, so the duplicate check of each recipient is a list
-slot, not a hash of the id.
+flood, one slot per node, kept for the whole run, and indexed by origin,
+then seq.  The loop reads a broadcast's row once, with two list
+subscripts, so the duplicate check of each recipient is a list slot and
+no id is hashed.
 A timer's heap entry carries the plain function that runs it, so the loop
 compares no event kind.  One mining tick per interval visits every node in
 id order, closes its due sessions and re-mines it if its closed sessions
@@ -37,7 +38,7 @@ from itertools import count
 from numpy.random import Generator, SeedSequence, default_rng
 
 from .mining import mine_frequent_itemsets, rank_related
-from .node import Node
+from .node import Node, Row
 from .packets import ID_LIMIT, MAX_RELATED_RECORDS, Sreq, Srep
 from .workload import build_correlation_matrix, build_schedule
 
@@ -223,8 +224,9 @@ class Simulation:
         self.cm = build_correlation_matrix(config.service_count, workload_rng)
         self.schedule = build_schedule(config, self.cm, workload_rng)
         self.metrics = Metrics()
-        # One flood table, shared by the nodes: msg_id -> each node's slot.
-        self._floods: dict[tuple[int, int], list[int | None]] = {}
+        # One flood table, shared by the nodes: origin -> seq -> row, one
+        # slot per node.  Each origin's issue_request appends its rows.
+        self._floods: list[list[Row]] = [[] for _ in range(config.node_count)]
         self.nodes = [Node(i, config, self.metrics, self._floods)
                       for i in range(config.node_count)]
         for service, provider in self.placement.items():
@@ -330,15 +332,16 @@ class Simulation:
             # (never empty: SCAN reschedules itself), then that timer's function.
             # SREQ recipients go in adjacency order; one that remembers the
             # request's id is skipped (its deliver line still shows).  The
-            # flood's row exists, since its sender issued or handled it, and
-            # a handler only writes slots, so it is read once per broadcast.
+            # flood's row exists, since its origin's issue_request made it
+            # before the first copy went out, and a handler only writes
+            # slots, so it is read once per broadcast.
             limit = min(heap[0], end)
             while deliveries and deliveries[0] < limit:
                 time, _, recipients, from_node, packet = deliveries.popleft()
                 if tracing:
                     detail = f"from={from_node} " + _packet_detail(packet)
                 if isinstance(packet, Sreq):
-                    row = floods[packet[0], packet[1]]
+                    row = floods[packet[0]][packet[1]]
                     for to in recipients:
                         if tracing:
                             self._trace(time, DELIVER, to, detail)

@@ -14,11 +14,14 @@ upstream hop.
 
 The seen memory suppresses duplicate copies of a flood and keeps the
 reverse path a reply retraces.  It lives in the run's flood table, which
-all nodes share: ``msg_id -> row``, a row per flood with one slot per
-node, kept for the whole run.  A node's slot holds its first upstream hop
-of that flood, ``ORIGINATED`` if it issued the request, or ``None`` while
-it does not remember the id.  A node remembers at most ``seen_capacity``
-ids; at capacity, it empties the slot of its oldest one.
+all nodes share: a row per flood with one slot per node, kept for the
+whole run, and indexed by origin, then seq (``floods[origin][seq]``), so
+no ``(origin, seq)`` tuple is built or hashed to find it.  An origin's
+seqs count up from 0, and ``issue_request`` appends each new row.  A
+node's slot holds its first upstream hop of that flood, ``ORIGINATED`` if
+it issued the request, or ``None`` while it does not remember the id.  A
+node remembers at most ``seen_capacity`` ids, keeping their rows oldest
+first; at capacity, it empties its slot of the oldest row.
 
 Every node a reply passes learns its records (``Node._learn``).  A run
 relays replies hundreds of thousands of times, so each hop is kept cheap:
@@ -41,6 +44,7 @@ if TYPE_CHECKING:
     from .netsim import Metrics, SimConfig
 
 MsgId = tuple[int, int]
+Row = list[int | None]  # a flood's slots, one per node
 
 ORIGINATED = -1  # the flood table slot of a request's origin; no node id is negative
 
@@ -97,7 +101,7 @@ class ServiceTable:
 
 class Node:
     def __init__(self, nid: int, config: "SimConfig", metrics: "Metrics",
-                 floods: dict[MsgId, list[int | None]] | None = None):
+                 floods: list[list[Row]] | None = None):
         self.nid = nid
         self.cfg = config
         self.metrics = metrics
@@ -126,13 +130,14 @@ class Node:
         # (log.closed_version, transaction count) that `itemsets` and
         # `_masks` were kept from; an empty log at version 0 mines to nothing.
         self._mined_from = (0, 0)
-        # The seen memory is this node's slot of each row of the flood table
-        # (module docstring).  The Simulation passes every node its one
-        # table; a standalone node gets a private one.
-        self._floods = {} if floods is None else floods
-        # The ids whose slot this node holds, oldest first (an id is
+        # The seen memory is this node's slot of each row of the flood table,
+        # origin -> seq -> row (module docstring).  The Simulation passes
+        # every node its one table, with a list per origin; a standalone
+        # node gets a private one that grows as it sees ids.
+        self._floods: list[list[Row]] = [] if floods is None else floods
+        # The rows whose slot this node holds, oldest first (an id is
         # remembered only once); the oldest one's slot is emptied first.
-        self._seen_order: deque[MsgId] = deque()
+        self._seen_order: deque[Row] = deque()
         self._pending: dict[MsgId, float] = {}   # msg_id -> issue time
         self._next_seq = 0
 
@@ -169,18 +174,28 @@ class Node:
 
     # -- duplicate suppression / reverse path ------------------------------
 
-    def _remember(self, msg_id: MsgId, upstream: int) -> None:
-        """Hold ``upstream`` in this node's slot of the flood ``msg_id``, an
-        id it does not remember; at ``seen_capacity`` it first forgets its
-        oldest id.  A missing row is created."""
-        floods, order, nid = self._floods, self._seen_order, self.nid
+    def _row(self, origin: int, seq: int) -> Row:
+        """The flood table's row of ``(origin, seq)``, created if missing.
+        The table gains empty lists up to ``origin``, and the origin's list
+        gains empty rows up to ``seq``; in a Simulation only an origin's
+        ``issue_request`` creates rows, one per new seq."""
+        floods = self._floods
+        if len(floods) <= origin:
+            floods.extend([] for _ in range(origin + 1 - len(floods)))
+        rows = floods[origin]
+        while len(rows) <= seq:
+            rows.append([None] * self.cfg.node_count)
+        return rows[seq]
+
+    def _remember(self, row: Row, upstream: int) -> None:
+        """Hold ``upstream`` in this node's slot of ``row``, a flood it does
+        not remember; at ``seen_capacity`` it first empties its slot of the
+        oldest row it remembers."""
+        order, nid = self._seen_order, self.nid
         if len(order) >= self._seen_capacity:
-            floods[order.popleft()][nid] = None
-        row = floods.get(msg_id)
-        if row is None:
-            row = floods[msg_id] = [None] * self.cfg.node_count
+            order.popleft()[nid] = None
         row[nid] = upstream
-        order.append(msg_id)
+        order.append(row)
 
     # -- protocol handlers --------------------------------------------------
 
@@ -199,7 +214,7 @@ class Node:
         seq = self._next_seq
         self._next_seq += 1
         sreq = Sreq(self.nid, seq, session_seq, service, self._initial_ttl)
-        self._remember(sreq.msg_id, ORIGINATED)
+        self._remember(self._row(self.nid, seq), ORIGINATED)
         self._pending[sreq.msg_id] = now
         m.broadcasts_originated += 1
         return sreq
@@ -208,16 +223,16 @@ class Node:
         """Handle a request whose id the node has not seen; the caller
         (``Simulation._loop``) drops duplicates before calling."""
         origin, seq, session_seq, requested, ttl = sreq
-        msg_id = (origin, seq)
+        try:
+            row = self._floods[origin][seq]
+        except IndexError:  # only in a standalone node's private table
+            row = self._row(origin, seq)
         # _remember, inlined: this runs once per first copy of a flood.
-        floods, order, nid = self._floods, self._seen_order, self.nid
+        order, nid = self._seen_order, self.nid
         if len(order) >= self._seen_capacity:
-            floods[order.popleft()][nid] = None
-        row = floods.get(msg_id)
-        if row is None:
-            row = floods[msg_id] = [None] * self.cfg.node_count
+            order.popleft()[nid] = None
         row[nid] = from_node
-        order.append(msg_id)
+        order.append(row)
         if self._log_overheard:
             self.log.record_request((origin, session_seq), requested, now)
         record = self.own_services.get(requested) or self._records.get(requested)
@@ -227,7 +242,7 @@ class Node:
             if self.itemsets:
                 related = tuple(self._pick_related(requested))
                 self.metrics.piggybacked_records_sent += len(related)
-            return _new_packet(Srep, (self.nid, origin, msg_id, self._initial_ttl,
+            return _new_packet(Srep, (self.nid, origin, (origin, seq), self._initial_ttl,
                                       (requested, record.provider), related))
         if ttl > 0:
             return _new_packet(Sreq, (origin, seq, session_seq, requested, ttl - 1))
@@ -246,8 +261,10 @@ class Node:
             return None
         # A relay that forgot the id and then handled a later copy stored a
         # new upstream, so a reverse path can loop; the TTL ends the loop.
-        row = self._floods.get(in_reply_to)
-        upstream = None if row is None else row[self.nid]
+        try:
+            upstream = self._floods[in_reply_to[0]][in_reply_to[1]][self.nid]
+        except IndexError:  # no row: no node ever remembered the id
+            upstream = None
         if upstream is None or upstream == ORIGINATED or ttl <= 0:
             self.metrics.packets_dropped += 1
             return None

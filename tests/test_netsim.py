@@ -244,6 +244,16 @@ def test_one_delivery_event_per_transmission():
     assert first[:2] < second[:2]
 
 
+@pytest.mark.parametrize("cfg", [GOLDEN_DENSE, FLOOD50], ids=["forgetful", "flood50"])
+def test_only_origins_create_flood_rows(cfg):
+    # _loop indexes a broadcast's row with no existence check: each origin's
+    # issue_request made one row per seq it issued, and no relay made any.
+    sim = Simulation(cfg, trace=[])
+    sim.run()
+    assert [len(rows) for rows in sim._floods] == [node._next_seq for node in sim.nodes]
+    assert all(len(row) == cfg.node_count for rows in sim._floods for row in rows)
+
+
 def test_heap_entries_carry_the_timer_functions():
     timers = {Simulation._issue, Simulation._scan, Simulation._mining_tick}
     sim = Simulation(SMALL)

@@ -21,6 +21,20 @@ def fs(*items):
     return frozenset(items)
 
 
+def seen(node) -> dict:
+    """The ids ``node`` remembers, oldest first, each with its slot.  Each
+    row of ``_seen_order`` is named by its place in the flood table, found
+    by identity, and no row outside ``_seen_order`` may hold a slot."""
+    table = {(origin, seq): row for origin, rows in enumerate(node._floods)
+             for seq, row in enumerate(rows)}
+    ids = {id(row): msg_id for msg_id, row in table.items()}
+    remembered = {ids[id(row)]: row[node.nid] for row in node._seen_order}
+    assert len(remembered) == len(node._seen_order)
+    assert remembered.keys() == {msg_id for msg_id, row in table.items()
+                                 if row[node.nid] is not None}
+    return remembered
+
+
 def mine_sessions(node, sessions):
     """Log each of ``sessions`` under consumer 5, close them all and re-mine
     at the node's support."""
@@ -417,19 +431,21 @@ def test_seen_memory_bounded():
     for seq in range(10):
         node.handle_sreq(Sreq(origin=1, seq=seq, session_seq=0, requested=3, ttl=0),
                          from_node=1, now=0.0)
-    assert list(node._seen_order) == [(1, seq) for seq in range(6, 10)]
-    assert [node._floods[1, seq][0] for seq in range(10)] == [None] * 6 + [1] * 4
+    assert seen(node) == {(1, seq): 1 for seq in range(6, 10)}
     # A copy of a forgotten id is handled again, and its reply goes to the
-    # new upstream; a reply to an id the node never saw is dropped.
+    # new upstream; a reply to an id the node never saw is dropped, whether
+    # its origin has no rows (0, 2 and 7 here) or its seq is past the
+    # origin's last row.
     again = node.handle_sreq(Sreq(1, 0, 0, 3, ttl=2), from_node=2, now=1.0)
     assert again == Sreq(1, 0, 0, 3, 1)
-    assert list(node._seen_order) == [(1, seq) for seq in (7, 8, 9, 0)]
-    assert node._floods[1, 6][0] is None
+    assert list(seen(node).items()) == [((1, seq), 1) for seq in (7, 8, 9)] + [((1, 0), 2)]
+    assert (1, 6) not in seen(node)
     srep = Srep(responder=3, destination=1, in_reply_to=(1, 0), ttl=8, answer=(3, 3),
                 related=())
     assert node.handle_srep(srep) == (2, srep._replace(ttl=7))
-    assert node.handle_srep(srep._replace(in_reply_to=(2, 0))) is None
-    assert node.metrics.packets_dropped == 1
+    for unseen in ((0, 0), (2, 0), (7, 0), (1, 10)):
+        assert node.handle_srep(srep._replace(in_reply_to=unseen)) is None
+    assert node.metrics.packets_dropped == 4
 
 
 # Node 0 issues requests (0, 0), (0, 1), ... and sees copies of the ids of
@@ -468,10 +484,9 @@ def test_seen_memory_matches_the_reference_model(ops, capacity):
                 assert node.handle_srep(srep) is None
             else:
                 assert node.handle_srep(srep) == (upstream, srep._replace(ttl=ttl - 1))
-        assert list(node._seen_order) == list(memory)
-        slots = {msg_id: row[0] for msg_id, row in node._floods.items() if row[0] is not None}
-        assert slots == {msg_id: ORIGINATED if upstream is None else upstream
-                         for msg_id, upstream in memory.items()}
+        assert list(seen(node).items()) == [
+            (msg_id, ORIGINATED if upstream is None else upstream)
+            for msg_id, upstream in memory.items()]
 
 
 # -- the in-place learn path against the table's own semantics ----------------
