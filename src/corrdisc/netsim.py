@@ -6,14 +6,14 @@ per-hop latency.  Events execute in (time, insertion seq) order, so two
 runs of the same config produce identical metrics and traces.  Timers
 wait in a heap and deliveries in a FIFO, which stays sorted because each
 delivery is due one fixed hop latency after the never-decreasing clock.
-The loop routes each packet by its kind: an SREQ broadcast visits its
-recipients in adjacency order, skipping those that remember its id, and an
-SREP, always a unicast, goes straight to its one recipient.  Every node's
-seen memory lives in one flood table per run (``node.py``): a row per
-flood, one slot per node, kept for the whole run, and indexed by origin,
-then seq.  The loop reads a broadcast's row once, with two list
-subscripts, so the duplicate check of each recipient is a list slot and
-no id is hashed.
+A packet is a plain tuple laid out as ``Sreq`` or ``Srep``, and the loop
+routes it by its field count: an SREQ broadcast visits its recipients in
+adjacency order, skipping those that remember its id, and an SREP, always
+a unicast, goes straight to its one recipient.  Every node's seen memory
+lives in one flood table per run (``node.py``): a row per flood, one slot
+per node, kept for the whole run, and indexed by origin, then seq.  The
+loop reads a broadcast's row once, with two list subscripts, so the
+duplicate check of each recipient is a list slot and no id is hashed.
 A timer's heap entry carries the plain function that runs it, so the loop
 compares no event kind.  One mining tick per interval visits every node in
 id order, closes its due sessions and re-mines it if its closed sessions
@@ -39,7 +39,7 @@ from numpy.random import Generator, SeedSequence, default_rng
 
 from .mining import mine_frequent_itemsets, rank_related
 from .node import Node, Row
-from .packets import ID_LIMIT, MAX_RELATED_RECORDS, Sreq, Srep
+from .packets import ID_LIMIT, MAX_RELATED_RECORDS, SREQ_FIELDS, SrepFields, SreqFields
 from .workload import build_correlation_matrix, build_schedule
 
 # Trace names of the events.
@@ -198,15 +198,14 @@ def assign_services(config: SimConfig, rng) -> dict[int, int]:
             for service in range(config.service_count)}
 
 
-def _packet_detail(packet: Sreq | Srep) -> str:
-    if isinstance(packet, Sreq):
-        return (f"sreq origin={packet.origin} seq={packet.seq} "
-                f"session={packet.session_seq} svc={packet.requested} ttl={packet.ttl}")
-    related = ",".join(f"{svc}@{prov}" for svc, prov in packet.related)
-    return (f"srep responder={packet.responder} dest={packet.destination} "
-            f"reply={packet.in_reply_to[0]}:{packet.in_reply_to[1]} "
-            f"answer={packet.answer[0]}@{packet.answer[1]} ttl={packet.ttl} "
-            f"related=[{related}]")
+def _packet_detail(packet: SreqFields | SrepFields) -> str:
+    if len(packet) == SREQ_FIELDS:
+        origin, seq, session_seq, requested, ttl = packet
+        return f"sreq origin={origin} seq={seq} session={session_seq} svc={requested} ttl={ttl}"
+    responder, destination, (reply_origin, reply_seq), ttl, answer, related = packet
+    records = ",".join(f"{svc}@{prov}" for svc, prov in related)
+    return (f"srep responder={responder} dest={destination} reply={reply_origin}:{reply_seq} "
+            f"answer={answer[0]}@{answer[1]} ttl={ttl} related=[{records}]")
 
 
 class Simulation:
@@ -281,7 +280,7 @@ class Simulation:
 
     # -- delivery ------------------------------------------------------------
 
-    def deliver_broadcast(self, from_node: int, sreq: Sreq, now: float) -> None:
+    def deliver_broadcast(self, from_node: int, sreq: SreqFields, now: float) -> None:
         """Count and trace one SREQ broadcast; one event delivers it to
         every neighbour, in adjacency order."""
         self.metrics.sreq_transmissions += 1
@@ -290,7 +289,7 @@ class Simulation:
         self._deliveries.append((now + self._hop_latency, next(self._seq),
                                  self.topology.adjacency[from_node], from_node, sreq))
 
-    def deliver_unicast(self, from_node: int, to: int, srep: Srep, now: float) -> None:
+    def deliver_unicast(self, from_node: int, to: int, srep: SrepFields, now: float) -> None:
         """Count and trace one SREP unicast.  ``to`` is a neighbour: replies
         retrace the hops their SREQ came over, and adjacency is symmetric."""
         self.metrics.srep_transmissions += 1
@@ -340,7 +339,7 @@ class Simulation:
                 time, _, recipients, from_node, packet = deliveries.popleft()
                 if tracing:
                     detail = f"from={from_node} " + _packet_detail(packet)
-                if isinstance(packet, Sreq):
+                if len(packet) == SREQ_FIELDS:
                     row = floods[packet[0]][packet[1]]
                     for to in recipients:
                         if tracing:
@@ -348,9 +347,11 @@ class Simulation:
                         if row[to] is not None:
                             continue
                         out = Node.handle_sreq(nodes[to], packet, from_node, time)
-                        if isinstance(out, Sreq):
+                        if out is None:
+                            continue
+                        if len(out) == SREQ_FIELDS:
                             broadcast(to, out, time)
-                        elif out is not None:  # an answer goes back to the sender
+                        else:  # an answer goes back to the sender
                             unicast(to, from_node, out, time)
                 else:
                     # Replies are only ever unicast to one recipient, and they

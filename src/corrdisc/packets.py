@@ -39,8 +39,10 @@ class PacketError(ValueError):
     """Raised for malformed buffers and out-of-range field values."""
 
 
-# NamedTuples, not frozen dataclasses: a relay builds a packet per hop, and a
-# tuple is about three times cheaper to build.
+# The NamedTuples name the packet layout and are the codec's types.  The
+# engine builds plain tuples in their field order instead, and routes a
+# packet by its field count: a relay builds a packet per hop, and a tuple
+# subclass costs about 0.5 us more per packet to build and free.
 class Sreq(NamedTuple):
     origin: int
     seq: int
@@ -60,6 +62,12 @@ class Srep(NamedTuple):
     ttl: int
     answer: tuple[int, int]                      # (service, provider)
     related: tuple[tuple[int, int], ...] = ()    # piggybacked records
+
+
+SREQ_FIELDS = len(Sreq._fields)  # 5; an Srep has 6
+# The engine's packets: plain tuples laid out as Sreq and Srep.
+SreqFields = tuple[int, int, int, int, int]
+SrepFields = tuple[int, int, tuple[int, int], int, tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 def _check_related(answer: tuple[int, int], related) -> None:

@@ -14,7 +14,8 @@ from numpy.random import default_rng
 from corrdisc.netsim import (ISSUE, Metrics, SimConfig, Simulation,
                              assign_services, place_nodes, run)
 from corrdisc.node import Node
-from corrdisc.packets import MAX_RELATED_RECORDS, Sreq, Srep
+from corrdisc.packets import (MAX_RELATED_RECORDS, SREQ_FIELDS, Sreq, Srep, decode_packet,
+                              encode_packet)
 from trace_audit import audit, audit_pair
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run as bench  # noqa: E402  (the benchmark's workloads)
@@ -242,6 +243,37 @@ def test_one_delivery_event_per_transmission():
         (sim.topology.adjacency[sender], sender, sreq), (neighbor, sender, srep)]
     first, second = sim._deliveries
     assert first[:2] < second[:2]
+
+
+# The config of CI's command-line run: overheard logging and support 0.3
+# give the mining-on run frequent pairs, so a reply piggybacks a record.
+CLI_CONFIG = SimConfig(node_count=6, service_count=4, sessions_per_consumer=3,
+                       sim_duration=270.0, log_overheard=True, support=0.3)
+
+
+def test_sent_packets_are_plain_tuples_that_the_codec_round_trips(monkeypatch):
+    # The engine builds each packet as a plain tuple in the field order of
+    # Sreq or Srep, and routes it by its field count; named, it must encode.
+    sent = []
+    broadcast, unicast = Simulation.deliver_broadcast, Simulation.deliver_unicast
+
+    def record_broadcast(sim, from_node, sreq, now):
+        sent.append(sreq)
+        broadcast(sim, from_node, sreq, now)
+
+    def record_unicast(sim, from_node, to, srep, now):
+        sent.append(srep)
+        unicast(sim, from_node, to, srep, now)
+
+    monkeypatch.setattr(Simulation, "deliver_broadcast", record_broadcast)
+    monkeypatch.setattr(Simulation, "deliver_unicast", record_unicast)
+    metrics = run(CLI_CONFIG)
+    assert len(sent) == metrics.sreq_transmissions + metrics.srep_transmissions
+    for packet in sent:
+        assert type(packet) is tuple
+        named = Sreq._make(packet) if len(packet) == SREQ_FIELDS else Srep._make(packet)
+        assert decode_packet(encode_packet(named)) == packet
+    assert any(len(packet) != SREQ_FIELDS and packet[5] for packet in sent)
 
 
 @pytest.mark.parametrize("cfg", [GOLDEN_DENSE, FLOOD50], ids=["forgetful", "flood50"])

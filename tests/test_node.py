@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 from corrdisc.mining import MIN_MINING_TRANSACTIONS, mine_frequent_itemsets, rank_related
 from corrdisc.netsim import Metrics, SimConfig
 from corrdisc.node import ORIGINATED, Node, ServiceRecord, ServiceTable
-from corrdisc.packets import Sreq, Srep
+from corrdisc.packets import SREQ_FIELDS, Sreq, Srep
 from trace_audit import SeenMemory, ranked_by_pair_counts
 
 
@@ -19,6 +19,12 @@ def rec(service, provider=9, piggybacked=False):
 
 def fs(*items):
     return frozenset(items)
+
+
+def as_packet(t) -> Sreq | Srep:
+    """Name the fields of a packet that a handler built.  The engine's
+    packets are plain tuples, laid out as an Sreq (5 fields) or an Srep (6)."""
+    return Sreq._make(t) if len(t) == SREQ_FIELDS else Srep._make(t)
 
 
 def seen(node) -> dict:
@@ -137,7 +143,7 @@ def test_handle_sreq_answers_with_related_from_table():
     node._learn(7, 6, False)
     mine_sessions(node, [{3, 7}] * 4)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    srep = node.handle_sreq(sreq, from_node=3, now=2.0)
+    srep = as_packet(node.handle_sreq(sreq, from_node=3, now=2.0))
     # The bare packet: the engine sends an answer back to from_node.
     assert type(srep) is Srep
     assert srep.destination == 1
@@ -151,7 +157,7 @@ def test_handle_sreq_related_filtered_to_known_services():
     node._learn(3, 5, False)
     mine_sessions(node, [{3, 9}] * 4)   # 9 is co-frequent but unknown here
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    srep = node.handle_sreq(sreq, from_node=1, now=2.0)
+    srep = as_packet(node.handle_sreq(sreq, from_node=1, now=2.0))
     assert srep.related == ()
 
 
@@ -163,7 +169,7 @@ def test_handle_sreq_related_capped_and_ranked():
     # threshold ceil(0.3 * 5) = 2.
     mine_sessions(node, [{3, 6, 7, 8}] * 2 + [{3, 7, 8}] * 3)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    srep = node.handle_sreq(sreq, from_node=1, now=2.0)
+    srep = as_packet(node.handle_sreq(sreq, from_node=1, now=2.0))
     # Strongest support first, ties toward the lower id, capped at 2.
     assert node._ranked[3] == [7, 8, 6]
     assert srep.related == ((7, 1), (8, 1))
@@ -178,8 +184,8 @@ def test_handle_sreq_ttl_exhausted():
 def test_handle_sreq_rebroadcast_decrements_ttl():
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    fwd = node.handle_sreq(sreq, from_node=1, now=2.0)
-    # The bare packet: the engine broadcasts every Sreq a handler returns.
+    fwd = as_packet(node.handle_sreq(sreq, from_node=1, now=2.0))
+    # The bare packet: the engine broadcasts every SREQ a handler returns.
     assert type(fwd) is Sreq
     assert fwd.ttl == 7
     assert fwd.msg_id == sreq.msg_id
@@ -215,14 +221,14 @@ def test_handle_srep_destined_insert_order_answer_first():
 
 def test_only_the_first_reply_answers_a_request():
     node = make_node(nid=1)
-    sreq = node.issue_request(3, 0, now=0.0)
+    sreq = as_packet(node.issue_request(3, 0, now=0.0))
     for responder in (2, 4):
         srep = Srep(responder=responder, destination=1, in_reply_to=sreq.msg_id,
                     ttl=8, answer=(3, 5))
         assert node.handle_srep(srep) is None
     assert node.metrics.requests_answered == 1
     # A reply that arrives after the request timed out answers nothing.
-    late = node.issue_request(6, 0, now=2.0)
+    late = as_packet(node.issue_request(6, 0, now=2.0))
     assert node.expire_pending(now=10.0) == 1
     node.handle_srep(Srep(2, 1, late.msg_id, 8, answer=(6, 5)))
     assert node.metrics.requests_answered == 1
@@ -238,7 +244,7 @@ def test_handle_srep_transit_forwards_and_caches():
                 answer=(3, 5), related=((7, 6),))
     to, fwd = node.handle_srep(srep)
     assert to == 3
-    assert fwd.ttl == 7
+    assert as_packet(fwd).ttl == 7
     assert list(node._records) == [3, 7]
 
 
@@ -407,14 +413,15 @@ def test_pick_related_ranks_each_service_once_per_mine(monkeypatch):
     miner = lambda txns: mine_frequent_itemsets(txns, node.cfg.support)
     node.remine(miner)
     for seq in range(3):
-        srep = node.handle_sreq(Sreq(1, seq, 0, 3, 8), from_node=1, now=101.0)
+        srep = as_packet(node.handle_sreq(Sreq(1, seq, 0, 3, 8), from_node=1, now=101.0))
         assert srep.related == ((7, 6),)
     assert calls == [3]
     node.log.record_request((5, 3), 3, now=102.0)
     node.log.close_stale_sessions(now=200.0, session_window=1.0)
     node.remine(miner)
     # The pair {3, 7} is in 3 of 4 sessions, below ceil(0.8 * 4) = 4 now.
-    assert node.handle_sreq(Sreq(1, 9, 0, 3, 8), from_node=1, now=201.0).related == ()
+    srep = as_packet(node.handle_sreq(Sreq(1, 9, 0, 3, 8), from_node=1, now=201.0))
+    assert srep.related == ()
     assert calls == [3, 3]
 
 
@@ -422,7 +429,7 @@ def test_baseline_related_always_empty():
     # Without mined itemsets every reply has an empty related list.
     node = make_node(nid=2)
     node._learn(3, 5, False)
-    srep = node.handle_sreq(Sreq(1, 0, 0, 3, 8), from_node=1, now=1.0)
+    srep = as_packet(node.handle_sreq(Sreq(1, 0, 0, 3, 8), from_node=1, now=1.0))
     assert srep.related == ()
 
 
@@ -470,7 +477,7 @@ def test_seen_memory_matches_the_reference_model(ops, capacity):
     for op in ops:
         if op[0] == "issue":
             if node._next_seq < 6:
-                memory.remember(node.issue_request(0, 0, now=0.0).msg_id, None)
+                memory.remember(node.issue_request(0, 0, now=0.0)[:2], None)
         elif op[0] == "sreq":
             (origin, seq), from_node = op[1], op[2]
             if (origin, seq) not in memory and (origin != 0 or seq < node._next_seq):
@@ -544,22 +551,33 @@ def test_learning_matches_inserting_new_records(ops, capacity, hosted):
 
 
 def test_relayed_packets_are_real_packets():
-    # The loop routes each packet by isinstance, so a relay that built a
-    # plain tuple would have it handled as a reply without error.
+    # The loop routes each packet by its field count, 5 for an SREQ and 6
+    # for an SREP, and each handler builds a plain tuple in the field order
+    # of the packet's NamedTuple; a packet with a field too many or too few
+    # would be routed as the other kind.
+    node = make_node(nid=3)
+    issued = node.issue_request(3, 0, now=0.0)
+    assert type(issued) is tuple
+    assert len(issued) == SREQ_FIELDS
+    assert issued == Sreq(origin=3, seq=0, session_seq=0, requested=3, ttl=8)
+
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
     forwarded = node.handle_sreq(sreq, from_node=1, now=1.0)
-    assert type(forwarded) is Sreq
+    assert type(forwarded) is tuple
+    assert len(forwarded) == SREQ_FIELDS
     assert forwarded == Sreq(1, 0, 0, 3, 7)
 
     node._learn(4, 5, False)
     answer = node.handle_sreq(Sreq(1, 1, 0, 4, 8), from_node=1, now=2.0)
-    assert type(answer) is Srep
+    assert type(answer) is tuple
+    assert len(answer) == len(Srep._fields)
     assert answer == Srep(responder=2, destination=1, in_reply_to=(1, 1), ttl=8,
                           answer=(4, 5), related=())
 
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6),))
     _, relayed = node.handle_srep(srep)
-    assert type(relayed) is Srep
+    assert type(relayed) is tuple
+    assert len(relayed) == len(Srep._fields)
     assert relayed == srep._replace(ttl=7)
