@@ -13,12 +13,16 @@ directly.  Both return exact support counts.
 A reply ranks related services by exact pair supports, which
 ``rank_related`` reads from the vertical bitsets a node kept at its last
 re-mine, one requested service at a time; so the simulation mines only
-the singletons (``max_size=1``).
+the singletons (``max_size=1``).  That size returns the frequent items
+straight from the masks, with no itemset recursion.  ``min_count`` is
+memoized, since a run asks it the same few (support, log length)
+questions at every re-mine.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -34,12 +38,18 @@ MIN_MINING_TRANSACTIONS = 3
 MAX_ORACLE_UNIVERSE = 20
 
 
+@lru_cache(maxsize=256, typed=True)
 def min_count(fraction: float, n_transactions: int) -> int:
     """Absolute support count implied by a fractional threshold.
 
     ceil(fraction * n), floored at 1.  The product is rounded to 9
     decimals first so float dust (0.8 * 5 -> 4.000000000000001) cannot
-    bump the ceiling.
+    bump the ceiling.  The result is memoized, so the rounding is paid
+    once per argument pair.  The memo is exact: it hands back what this
+    function returned for equal arguments of the same types, and an
+    invalid fraction raises on every call, as exceptions are not cached.
+    (A closed form without ``round`` would not match it at the 9-decimal
+    rounding ties.)
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"support fraction must be in (0, 1], got {fraction}")
@@ -59,6 +69,8 @@ def mine_frequent_itemsets(transactions: Sequence[Transaction], support: float,
     read, so the result is the same whichever bit each transaction has.
     ``max_size``, when given, keeps only the itemsets of at most that many
     items: exactly those of the full result, as it is downward closed.
+    At ``max_size=1`` the frequent singletons are read off the masks'
+    popcounts directly, in item order, as the recursion would record them.
     """
     threshold = min_count(support, len(transactions))
     if max_size is not None and max_size < 1:
@@ -74,6 +86,9 @@ def mine_frequent_itemsets(transactions: Sequence[Transaction], support: float,
             for item in items:
                 masks[item] = masks.get(item, 0) | bit
             bit <<= 1
+    if max_size == 1:
+        return {frozenset((item,)): count for item, mask in sorted(masks.items())
+                if (count := mask.bit_count()) >= threshold}
     frequent = []
     for item, mask in sorted(masks.items()):
         count = mask.bit_count()

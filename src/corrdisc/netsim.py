@@ -19,9 +19,14 @@ compares no event kind.  One mining tick per interval visits every node in
 id order, closes its due sessions and re-mines it if its closed sessions
 changed.  The tick is the only reader of closed sessions, so it is the
 only timer that closes them by age; SCAN only fails timed-out requests.
-A run makes no reference cycles, so ``Simulation.run`` pauses CPython's
-cyclic garbage collector while it loops: the collector would otherwise
-sweep the young objects dozens of times per run and find nothing to free.
+A run makes no reference cycles, so ``run`` pauses CPython's cyclic
+garbage collector from before the ``Simulation`` is built until it is
+freed: the collector would otherwise sweep the young objects dozens of
+times per run and find nothing to free.  The pause outlasts the loop:
+switched back on while the run is still alive, the collector would start
+a young collection at the next allocation after the loop and walk every
+object the run made, to free nothing, since the run's memory goes by
+reference counting when the ``Simulation`` is dropped.
 The root seed is split into placement / service-assignment / workload
 substreams, so the workload is the same when only ``mining_enabled`` differs.
 """
@@ -32,6 +37,7 @@ import gc
 import heapq
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
 
@@ -208,6 +214,19 @@ def _packet_detail(packet: SreqFields | SrepFields) -> str:
             f"answer={answer[0]}@{answer[1]} ttl={ttl} related=[{records}]")
 
 
+@contextmanager
+def collector_paused():
+    """Pause CPython's cyclic collector for the block; it is switched back
+    on afterwards only if it was on before, also when the block raises."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 class Simulation:
     """One seeded run.  Single-threaded; independent runs share nothing.
     ``trace`` takes each line as the run makes it: any ``append(str)``."""
@@ -301,15 +320,11 @@ class Simulation:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Metrics:
-        """Run to ``sim_duration``, with the cyclic collector paused; it is
-        switched back on afterwards only if it was on before."""
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        """Run to ``sim_duration``, with the cyclic collector paused while
+        the loop runs (``collector_paused``).  A caller that keeps the
+        collector paused longer, as ``run`` does, keeps it paused here."""
+        with collector_paused():
             self._loop()
-        finally:
-            if collecting:
-                gc.enable()
         # Whatever is still pending when the clock stops counts as failed.
         for node in self.nodes:
             node.expire_pending(math.inf)
@@ -408,5 +423,11 @@ class Simulation:
 
 
 def run(config: SimConfig, *, trace=None) -> Metrics:
-    """Execute one run to ``sim_duration`` and return its metrics."""
-    return Simulation(config, trace=trace).run()
+    """Execute one run to ``sim_duration`` and return its metrics.
+
+    The cyclic collector stays paused from before the ``Simulation`` is
+    built until it is freed, which happens before the pause ends: the
+    expression holds the only reference to it.  A run makes no reference
+    cycles, so neither building it nor freeing it needs a collection."""
+    with collector_paused():
+        return Simulation(config, trace=trace).run()

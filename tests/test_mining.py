@@ -40,6 +40,30 @@ def test_min_count_rejects_bad_fraction():
         min_count(1.2, 3)
 
 
+# Fractions in (0, 1], with the tenths and hundredths whose products land
+# on or next to integers in binary (0.8 * 5, 0.3 * 10, ...).
+fraction_st = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.integers(min_value=1, max_value=10).map(lambda k: k / 10),
+    st.integers(min_value=1, max_value=100).map(lambda k: k / 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_st, st.integers(min_value=0, max_value=200))
+def test_min_count_memo_is_exact(fraction, n):
+    # The second call is answered from the memo.
+    for _ in range(2):
+        assert min_count(fraction, n) == min_count.__wrapped__(fraction, n)
+
+
+@pytest.mark.parametrize("fraction", [0, 1.5, math.nan])
+def test_min_count_raises_on_every_call(fraction):
+    # Exceptions are not memoized, so a repeat call must raise again.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="support fraction"):
+            min_count(fraction, 5)
+
+
 # -- mining ------------------------------------------------------------------
 
 def test_mine_spec_example_high_support():

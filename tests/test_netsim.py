@@ -2,7 +2,8 @@ import gc
 import math
 import re
 import sys
-from collections import Counter
+import weakref
+from collections import Counter, deque
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -140,6 +141,61 @@ def test_run_restores_the_collector_when_it_raises(monkeypatch, collector_on):
     with pytest.raises(ValueError, match="handler failed"):
         run(replace(SMALL, seed=2))
     assert gc.isenabled()
+
+
+@pytest.mark.parametrize("config", [MINE_HEAVY, FLOOD50], ids=["mine_heavy", "flood50"])
+def test_run_keeps_the_collector_paused_until_the_simulation_is_freed(
+        config, collector_on, monkeypatch):
+    # Switched back on while the run is alive, the collector would walk
+    # every object the run made, to free nothing.
+    init = Simulation.__init__
+    paused_at_init = []
+    collections = []
+    collections_at_free = []
+
+    def spy(sim, cfg, **kwargs):
+        paused_at_init.append(not gc.isenabled())
+        weakref.finalize(sim, lambda: collections_at_free.append(len(collections)))
+        init(sim, cfg, **kwargs)
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    monkeypatch.setattr(Simulation, "__init__", spy)
+    gc.collect()   # an empty young generation: nothing is due before the pause
+    gc.callbacks.append(count)
+    try:
+        run(config)
+    finally:
+        gc.callbacks.remove(count)
+    assert paused_at_init == [True]
+    assert collections_at_free == [0]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collector_when_the_config_is_invalid(enabled, collector_on):
+    if not enabled:
+        gc.disable()
+    with pytest.raises(ValueError, match="support"):
+        run(replace(SMALL, support=2.0))
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("config", [FLOOD50, MINE_HEAVY], ids=["flood50", "mine_heavy"])
+def test_benchmark_configs_make_no_reference_cycles(config, traced, collector_on):
+    # ``run`` keeps the collector paused while it builds and frees the
+    # Simulation too, so the benchmark's runs must leave nothing to collect.
+    # The traced runs write to a sink that keeps no line.
+    gc.collect()
+    gc.disable()
+    for mining_enabled in (False, True):
+        metrics = run(replace(config, mining_enabled=mining_enabled),
+                      trace=deque(maxlen=0) if traced else None)
+        assert metrics.requests_issued > 0
+    assert gc.collect() == 0
 
 
 def test_paired_workload_identical_across_variants():
