@@ -26,7 +26,9 @@ times per run and find nothing to free.  The pause outlasts the loop:
 switched back on while the run is still alive, the collector would start
 a young collection at the next allocation after the loop and walk every
 object the run made, to free nothing, since the run's memory goes by
-reference counting when the ``Simulation`` is dropped.
+reference counting when the ``Simulation`` is dropped.  ``run`` is the
+one place that pauses it; a caller of ``Simulation.run`` pauses it
+itself, if it wants the pause.
 The root seed is split into placement / service-assignment / workload
 substreams, so the workload is the same when only ``mining_enabled`` differs.
 """
@@ -37,7 +39,6 @@ import gc
 import heapq
 import math
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
 
@@ -214,19 +215,6 @@ def _packet_detail(packet: SreqFields | SrepFields) -> str:
             f"answer={answer[0]}@{answer[1]} ttl={ttl} related=[{records}]")
 
 
-@contextmanager
-def collector_paused():
-    """Pause CPython's cyclic collector for the block; it is switched back
-    on afterwards only if it was on before, also when the block raises."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
-
-
 class Simulation:
     """One seeded run.  Single-threaded; independent runs share nothing.
     ``trace`` takes each line as the run makes it: any ``append(str)``."""
@@ -320,11 +308,10 @@ class Simulation:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> Metrics:
-        """Run to ``sim_duration``, with the cyclic collector paused while
-        the loop runs (``collector_paused``).  A caller that keeps the
-        collector paused longer, as ``run`` does, keeps it paused here."""
-        with collector_paused():
-            self._loop()
+        """Run to ``sim_duration``.  The cyclic collector is left as the
+        caller set it; ``netsim.run`` pauses it for the Simulation's whole
+        life (module docstring)."""
+        self._loop()
         # Whatever is still pending when the clock stops counts as failed.
         for node in self.nodes:
             node.expire_pending(math.inf)
@@ -428,6 +415,13 @@ def run(config: SimConfig, *, trace=None) -> Metrics:
     The cyclic collector stays paused from before the ``Simulation`` is
     built until it is freed, which happens before the pause ends: the
     expression holds the only reference to it.  A run makes no reference
-    cycles, so neither building it nor freeing it needs a collection."""
-    with collector_paused():
+    cycles, so neither building it nor freeing it needs a collection.  The
+    collector is switched back on only if it was on, also when the run
+    raises."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
         return Simulation(config, trace=trace).run()
+    finally:
+        if collecting:
+            gc.enable()

@@ -18,12 +18,15 @@ The seen memory suppresses duplicate copies of a flood and keeps the
 reverse path a reply retraces.  It lives in the run's flood table, which
 all nodes share: a row per flood with one slot per node, kept for the
 whole run, and indexed by origin, then seq (``floods[origin][seq]``), so
-no ``(origin, seq)`` tuple is built or hashed to find it.  An origin's
-seqs count up from 0, and ``issue_request`` appends each new row.  A
-node's slot holds its first upstream hop of that flood, ``ORIGINATED`` if
-it issued the request, or ``None`` while it does not remember the id.  A
-node remembers at most ``seen_capacity`` ids, keeping their rows oldest
-first; at capacity, it empties its slot of the oldest row.
+no ``(origin, seq)`` tuple is built or hashed to find it.  Only an
+origin's ``issue_request`` makes rows: it appends one to its own list, and
+the list's length before the append is the new seq.  The row exists
+before the first copy leaves, so every id a packet carries has a row, and
+the handlers read it with no existence check.  A node's slot holds its
+first upstream hop of that flood, ``ORIGINATED`` if it issued the
+request, or ``None`` while it does not remember the id.  A node remembers
+at most ``seen_capacity`` ids, keeping their rows oldest first; at
+capacity, it empties its slot of the oldest row.
 
 Every node a reply passes learns its records (``Node._learn``).  A run
 relays replies hundreds of thousands of times, so each hop is kept cheap:
@@ -102,7 +105,7 @@ class ServiceTable:
 
 class Node:
     def __init__(self, nid: int, config: "SimConfig", metrics: "Metrics",
-                 floods: list[list[Row]] | None = None):
+                 floods: list[list[Row]]):
         self.nid = nid
         self.cfg = config
         self.metrics = metrics
@@ -132,15 +135,14 @@ class Node:
         # `_masks` were kept from; an empty log at version 0 mines to nothing.
         self._mined_from = (0, 0)
         # The seen memory is this node's slot of each row of the flood table,
-        # origin -> seq -> row (module docstring).  The Simulation passes
-        # every node its one table, with a list per origin; a standalone
-        # node gets a private one that grows as it sees ids.
-        self._floods: list[list[Row]] = [] if floods is None else floods
+        # origin -> seq -> row (module docstring), which every node of a run
+        # shares, with a list per origin.  Only issue_request makes rows, in
+        # this node's own list, whose length is the next seq it issues.
+        self._floods = floods
         # The rows whose slot this node holds, oldest first (an id is
         # remembered only once); the oldest one's slot is emptied first.
         self._seen_order: deque[Row] = deque()
         self._pending: dict[MsgId, float] = {}   # msg_id -> issue time
-        self._next_seq = 0
 
     # -- service knowledge ------------------------------------------------
 
@@ -175,19 +177,6 @@ class Node:
 
     # -- duplicate suppression / reverse path ------------------------------
 
-    def _row(self, origin: int, seq: int) -> Row:
-        """The flood table's row of ``(origin, seq)``, created if missing.
-        The table gains empty lists up to ``origin``, and the origin's list
-        gains empty rows up to ``seq``; in a Simulation only an origin's
-        ``issue_request`` creates rows, one per new seq."""
-        floods = self._floods
-        if len(floods) <= origin:
-            floods.extend([] for _ in range(origin + 1 - len(floods)))
-        rows = floods[origin]
-        while len(rows) <= seq:
-            rows.append([None] * self.cfg.node_count)
-        return rows[seq]
-
     def _remember(self, row: Row, upstream: int) -> None:
         """Hold ``upstream`` in this node's slot of ``row``, a flood it does
         not remember; at ``seen_capacity`` it first empties its slot of the
@@ -212,9 +201,11 @@ class Node:
                 m.prediction_hits += 1
             record.used = True
             return None
-        seq = self._next_seq
-        self._next_seq += 1
-        self._remember(self._row(self.nid, seq), ORIGINATED)
+        rows = self._floods[self.nid]
+        seq = len(rows)
+        row = [None] * self.cfg.node_count
+        rows.append(row)
+        self._remember(row, ORIGINATED)
         self._pending[(self.nid, seq)] = now
         m.broadcasts_originated += 1
         return (self.nid, seq, session_seq, service, self._initial_ttl)
@@ -224,10 +215,7 @@ class Node:
         """Handle a request whose id the node has not seen; the caller
         (``Simulation._loop``) drops duplicates before calling."""
         origin, seq, session_seq, requested, ttl = sreq
-        try:
-            row = self._floods[origin][seq]
-        except IndexError:  # only in a standalone node's private table
-            row = self._row(origin, seq)
+        row = self._floods[origin][seq]
         # _remember, inlined: this runs once per first copy of a flood.
         order, nid = self._seen_order, self.nid
         if len(order) >= self._seen_capacity:
@@ -262,10 +250,7 @@ class Node:
             return None
         # A relay that forgot the id and then handled a later copy stored a
         # new upstream, so a reverse path can loop; the TTL ends the loop.
-        try:
-            upstream = self._floods[in_reply_to[0]][in_reply_to[1]][self.nid]
-        except IndexError:  # no row: no node ever remembered the id
-            upstream = None
+        upstream = self._floods[in_reply_to[0]][in_reply_to[1]][self.nid]
         if upstream is None or upstream == ORIGINATED or ttl <= 0:
             self.metrics.packets_dropped += 1
             return None

@@ -334,11 +334,15 @@ def test_sent_packets_are_plain_tuples_that_the_codec_round_trips(monkeypatch):
 
 @pytest.mark.parametrize("cfg", [GOLDEN_DENSE, FLOOD50], ids=["forgetful", "flood50"])
 def test_only_origins_create_flood_rows(cfg):
-    # _loop indexes a broadcast's row with no existence check: each origin's
-    # issue_request made one row per seq it issued, and no relay made any.
-    sim = Simulation(cfg, trace=[])
-    sim.run()
-    assert [len(rows) for rows in sim._floods] == [node._next_seq for node in sim.nodes]
+    # _loop and the handlers index a flood's row with no existence check:
+    # each origin made one row per request it flooded, and no relay made any.
+    trace = []
+    sim = Simulation(cfg, trace=trace)
+    metrics = sim.run()
+    flooded = Counter(int(line.split()[2]) for line in trace
+                      if line.split()[1] == ISSUE and line.endswith(" local=0"))
+    assert [len(rows) for rows in sim._floods] == [flooded[nid] for nid in range(cfg.node_count)]
+    assert sum(len(rows) for rows in sim._floods) == metrics.broadcasts_originated > 0
     assert all(len(row) == cfg.node_count for rows in sim._floods for row in rows)
 
 

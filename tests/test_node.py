@@ -8,9 +8,26 @@ from corrdisc.packets import SREQ_FIELDS, Sreq, Srep
 from trace_audit import SeenMemory, ranked_by_pair_counts
 
 
+class IssuedRows(list):
+    """An origin's list of the flood table, for handler tests that make up
+    ids: reading a seq past the last row first appends empty rows up to it,
+    as if the origin had issued those requests.  In a run only the origin's
+    ``issue_request`` appends rows."""
+
+    def __init__(self, node_count: int):
+        super().__init__()
+        self.node_count = node_count
+
+    def __getitem__(self, seq):
+        while len(self) <= seq:
+            self.append([None] * self.node_count)
+        return super().__getitem__(seq)
+
+
 def make_node(nid=0, **overrides) -> Node:
     cfg = SimConfig(node_count=4, service_count=16, **overrides)
-    return Node(nid, cfg, Metrics())
+    floods = [IssuedRows(cfg.node_count) for _ in range(cfg.node_count)]
+    return Node(nid, cfg, Metrics(), floods)
 
 
 def rec(service, provider=9, piggybacked=False):
@@ -117,6 +134,25 @@ def test_issue_request_miss_broadcasts_full_ttl():
     assert node.metrics.broadcasts_originated == 1
     # The request is logged locally either way.
     assert node.log.records[0].services == {3}
+
+
+def test_issue_request_appends_one_row_to_its_own_list():
+    # The engine's table: a plain list per origin.  The list's length is the
+    # next seq, and a locally satisfied request makes no row.
+    cfg = SimConfig(node_count=4, service_count=16)
+    floods = [[] for _ in range(cfg.node_count)]
+    node = Node(2, cfg, Metrics(), floods)
+    node._learn(5, 9, False)
+    for seq in range(3):
+        assert node.issue_request(5, seq, now=float(seq)) is None
+        assert [len(rows) for rows in floods] == [0, 0, seq, 0]
+        sreq = as_packet(node.issue_request(3, seq, now=float(seq)))
+        assert sreq.msg_id == (2, seq)
+        assert len(floods[2]) == seq + 1
+        assert floods[2][seq] == [None, None, ORIGINATED, None]
+        assert node._seen_order[-1] is floods[2][seq]
+    assert [len(rows) for rows in floods] == [0, 0, 3, 0]
+    assert node.metrics.broadcasts_originated == 3
 
 
 def test_issue_request_piggybacked_hit_counts_prediction():
@@ -249,8 +285,12 @@ def test_handle_srep_transit_forwards_and_caches():
 
 
 def test_handle_srep_unknown_reverse_path_dropped():
-    node = make_node(nid=2)
-    srep = Srep(responder=4, destination=1, in_reply_to=(1, 99), ttl=8,
+    # The relay saw the request, then forgot it for a later one.
+    node = make_node(nid=2, seen_capacity=1)
+    for seq in range(2):
+        node.handle_sreq(Sreq(origin=1, seq=seq, session_seq=0, requested=3, ttl=8),
+                         from_node=3, now=1.0)
+    srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5))
     assert node.handle_srep(srep) is None
     assert node.metrics.packets_dropped == 1
@@ -440,9 +480,7 @@ def test_seen_memory_bounded():
                          from_node=1, now=0.0)
     assert seen(node) == {(1, seq): 1 for seq in range(6, 10)}
     # A copy of a forgotten id is handled again, and its reply goes to the
-    # new upstream; a reply to an id the node never saw is dropped, whether
-    # its origin has no rows (0, 2 and 7 here) or its seq is past the
-    # origin's last row.
+    # new upstream; a reply to an id the node forgot is dropped.
     again = node.handle_sreq(Sreq(1, 0, 0, 3, ttl=2), from_node=2, now=1.0)
     assert again == Sreq(1, 0, 0, 3, 1)
     assert list(seen(node).items()) == [((1, seq), 1) for seq in (7, 8, 9)] + [((1, 0), 2)]
@@ -450,9 +488,8 @@ def test_seen_memory_bounded():
     srep = Srep(responder=3, destination=1, in_reply_to=(1, 0), ttl=8, answer=(3, 3),
                 related=())
     assert node.handle_srep(srep) == (2, srep._replace(ttl=7))
-    for unseen in ((0, 0), (2, 0), (7, 0), (1, 10)):
-        assert node.handle_srep(srep._replace(in_reply_to=unseen)) is None
-    assert node.metrics.packets_dropped == 4
+    assert node.handle_srep(srep._replace(in_reply_to=(1, 6))) is None
+    assert node.metrics.packets_dropped == 1
 
 
 # Node 0 issues requests (0, 0), (0, 1), ... and sees copies of the ids of
@@ -469,18 +506,21 @@ SEEN_OPS = st.lists(st.one_of(
 def test_seen_memory_matches_the_reference_model(ops, capacity):
     # The node's slots of its flood table against SeenMemory, op by op.  A
     # copy is handled only while the model does not remember its id, as
-    # the loop skips the others; a node sees copies only of its own ids
-    # that it has issued.  Service 0 is requested and service 1 answered,
-    # so every request floods.
+    # the loop skips the others; a node sees copies of, and replies to,
+    # only those of its own ids that it has issued.  Service 0 is requested
+    # and service 1 answered, so every request floods.
     node = make_node(seen_capacity=capacity)
     memory = SeenMemory(capacity)
+    issued = node._floods[0]
     for op in ops:
         if op[0] == "issue":
-            if node._next_seq < 6:
+            if len(issued) < 6:
                 memory.remember(node.issue_request(0, 0, now=0.0)[:2], None)
+        elif op[1][0] == 0 and op[1][1] >= len(issued):
+            continue
         elif op[0] == "sreq":
             (origin, seq), from_node = op[1], op[2]
-            if (origin, seq) not in memory and (origin != 0 or seq < node._next_seq):
+            if (origin, seq) not in memory:
                 node.handle_sreq(Sreq(origin, seq, 0, 0, 1), from_node, now=0.0)
                 memory.remember((origin, seq), from_node)
         else:
