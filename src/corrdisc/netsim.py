@@ -9,11 +9,17 @@ delivery is due one fixed hop latency after the never-decreasing clock.
 A packet is a plain tuple laid out as ``Sreq`` or ``Srep``, and the loop
 routes it by its field count: an SREQ broadcast visits its recipients in
 adjacency order, skipping those that remember its id, and an SREP, always
-a unicast, goes straight to its one recipient.  Every node's seen memory
-lives in one flood table per run (``node.py``): a row per flood, one slot
-per node, kept for the whole run, and indexed by origin, then seq.  The
-loop reads a broadcast's row once, with two list subscripts, so the
-duplicate check of each recipient is a list slot and no id is hashed.
+a unicast, goes straight to its one recipient.  The loop makes the sends
+of the handlers it calls itself: it counts, traces and queues each
+forward, answer and relay hop with no method call, and adds its two
+transmission counters to the metrics when it returns.  Only an origin's
+request goes out through ``deliver_broadcast``; ``deliver_unicast`` is
+kept, uncalled, for the benchmark's per-layer profile, which names it.
+Every node's seen memory lives in one flood table per run (``node.py``):
+a row per flood, one slot per node, kept for the whole run, and indexed
+by origin, then seq.  The loop reads a broadcast's row once, with two
+list subscripts, so the duplicate check of each recipient is a list slot
+and no id is hashed.
 A timer's heap entry carries the plain function that runs it, so the loop
 compares no event kind.  One mining tick per interval visits every node in
 id order, closes its due sessions and re-mines it if its closed sessions
@@ -289,7 +295,9 @@ class Simulation:
 
     def deliver_broadcast(self, from_node: int, sreq: SreqFields, now: float) -> None:
         """Count and trace one SREQ broadcast; one event delivers it to
-        every neighbour, in adjacency order."""
+        every neighbour, in adjacency order.  ``_issue`` sends an origin's
+        request through it; ``_loop`` queues the forwards itself, in the
+        same way."""
         self.metrics.sreq_transmissions += 1
         if self.trace is not None:
             self._trace(now, "tx_bcast", from_node, _packet_detail(sreq))
@@ -297,8 +305,12 @@ class Simulation:
                                  self.topology.adjacency[from_node], from_node, sreq))
 
     def deliver_unicast(self, from_node: int, to: int, srep: SrepFields, now: float) -> None:
-        """Count and trace one SREP unicast.  ``to`` is a neighbour: replies
-        retrace the hops their SREQ came over, and adjacency is symmetric."""
+        """Count and trace one SREP unicast, as ``_loop`` does for each
+        answer and relay hop.  The engine never calls it: it stays for the
+        benchmark's per-layer profile, whose target list
+        (``perfbench/layers.py`` ``TARGETS``) names it and fails on a name
+        this class does not define.  ``to`` is a neighbour: replies retrace
+        the hops their SREQ came over, and adjacency is symmetric."""
         self.metrics.srep_transmissions += 1
         if self.trace is not None:
             self._trace(now, "tx_ucast", from_node, f"to={to} " + _packet_detail(srep))
@@ -326,48 +338,77 @@ class Simulation:
     def _loop(self) -> None:
         heap, deliveries, nodes, floods = self._heap, self._deliveries, self.nodes, self._floods
         end = (self.cfg.sim_duration, -1)  # sorts after every event due before the end
-        tracing = self.trace is not None
-        broadcast, unicast = self.deliver_broadcast, self.deliver_unicast
-        while True:
-            # Run the deliveries that sort before the timer at the heap's head
-            # (never empty: SCAN reschedules itself), then that timer's function.
-            # SREQ recipients go in adjacency order; one that remembers the
-            # request's id is skipped (its deliver line still shows).  The
-            # flood's row exists, since its origin's issue_request made it
-            # before the first copy went out, and a handler only writes
-            # slots, so it is read once per broadcast.
-            limit = min(heap[0], end)
-            while deliveries and deliveries[0] < limit:
-                time, _, recipients, from_node, packet = deliveries.popleft()
-                if tracing:
-                    detail = f"from={from_node} " + _packet_detail(packet)
-                if len(packet) == SREQ_FIELDS:
-                    row = floods[packet[0]][packet[1]]
-                    for to in recipients:
-                        if tracing:
-                            self._trace(time, DELIVER, to, detail)
-                        if row[to] is not None:
-                            continue
-                        out = Node.handle_sreq(nodes[to], packet, from_node, time)
-                        if out is None:
-                            continue
-                        if len(out) == SREQ_FIELDS:
-                            broadcast(to, out, time)
-                        else:  # an answer goes back to the sender
-                            unicast(to, from_node, out, time)
-                else:
-                    # Replies are only ever unicast to one recipient, and they
-                    # carry no msg_id of their own to skip on.
-                    to = recipients
+        tracing, trace = self.trace is not None, self._trace
+        # The loop queues each handler's send itself, with these bound once:
+        # a send is due one hop after the delivery that caused it, and its
+        # entry is (time, seq, recipients, from_node, packet), as
+        # deliver_broadcast makes.  The two transmission counters are
+        # committed to the metrics when the loop returns, also if it raises.
+        adjacency, hop, seq, queue = (self.topology.adjacency, self._hop_latency,
+                                      self._seq, deliveries.append)
+        handle_sreq, handle_srep = Node.handle_sreq, Node.handle_srep
+        sreq_tx = srep_tx = 0
+        try:
+            while True:
+                # Run the deliveries that sort before the timer at the heap's
+                # head (never empty: SCAN reschedules itself), then that
+                # timer's function.  SREQ recipients go in adjacency order;
+                # one that remembers the request's id is skipped (its deliver
+                # line still shows).  The flood's row exists, since its
+                # origin's issue_request made it before the first copy went
+                # out, and a handler only writes slots, so it is read once per
+                # broadcast.
+                limit = min(heap[0], end)
+                while deliveries and deliveries[0] < limit:
+                    time, _, recipients, from_node, packet = deliveries.popleft()
+                    due = time + hop
                     if tracing:
-                        self._trace(time, DELIVER, to, detail)
-                    emission = Node.handle_srep(nodes[to], packet)
-                    if emission is not None:
-                        unicast(to, emission[0], emission[1], time)
-            if heap[0] >= end:
-                return
-            time, _, fire, payload = heapq.heappop(heap)
-            fire(self, time, *payload)
+                        detail = f"from={from_node} " + _packet_detail(packet)
+                    if len(packet) == SREQ_FIELDS:
+                        row = floods[packet[0]][packet[1]]
+                        for to in recipients:
+                            if tracing:
+                                trace(time, DELIVER, to, detail)
+                            if row[to] is not None:
+                                continue
+                            out = handle_sreq(nodes[to], packet, from_node, time)
+                            if out is None:
+                                continue
+                            if len(out) == SREQ_FIELDS:  # a forward floods on
+                                sreq_tx += 1
+                                if tracing:
+                                    trace(time, "tx_bcast", to, _packet_detail(out))
+                                queue((due, next(seq), adjacency[to], to, out))
+                            else:  # an answer goes back to the sender
+                                srep_tx += 1
+                                if tracing:
+                                    trace(time, "tx_ucast", to,
+                                          f"to={from_node} " + _packet_detail(out))
+                                queue((due, next(seq), from_node, to, out))
+                    else:
+                        # Replies are only ever unicast to one recipient, and
+                        # they carry no msg_id of their own to skip on.  A
+                        # relay's upstream is a neighbour: replies retrace the
+                        # hops their SREQ came over, and adjacency is symmetric.
+                        to = recipients
+                        if tracing:
+                            trace(time, DELIVER, to, detail)
+                        emission = handle_srep(nodes[to], packet)
+                        if emission is not None:
+                            upstream, out = emission
+                            srep_tx += 1
+                            if tracing:
+                                trace(time, "tx_ucast", to,
+                                      f"to={upstream} " + _packet_detail(out))
+                            queue((due, next(seq), upstream, to, out))
+                if heap[0] >= end:
+                    return
+                time, _, fire, payload = heapq.heappop(heap)
+                fire(self, time, *payload)
+        finally:
+            metrics = self.metrics
+            metrics.sreq_transmissions += sreq_tx
+            metrics.srep_transmissions += srep_tx
 
     # -- timers: each is fire(self, time, *payload) and pushes its successor last
 

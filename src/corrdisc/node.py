@@ -30,7 +30,9 @@ capacity, it empties its slot of the oldest row.
 
 Every node a reply passes learns its records (``Node._learn``).  A run
 relays replies hundreds of thousands of times, so each hop is kept cheap:
-a known service's record is updated in place, a ``ServiceRecord`` is
+a known service's record is updated in place (``handle_srep`` does it
+for the answer itself, and skips the related loop of a reply that
+carries no records), a ``ServiceRecord`` is
 built only when a service enters the table, and packets are plain
 tuples, which CPython allocates from its tuple free list; a NamedTuple
 is a tuple subclass, and building and freeing one costs about 0.5 us more.
@@ -239,9 +241,20 @@ class Node:
 
     def handle_srep(self, srep: SrepFields) -> tuple[int, SrepFields] | None:
         responder, destination, in_reply_to, ttl, answer, related = srep
-        self._learn(answer[0], answer[1], False)
-        for rel_service, rel_provider in related:
-            self._learn(rel_service, rel_provider, True)
+        service, provider = answer
+        record = self._records.get(service)
+        if record is None:
+            self._learn(service, provider, False)
+        else:
+            # _learn of a direct answer for a known service, inlined: the
+            # table never holds a hosted service, and a direct answer always
+            # overwrites, in place, keeping the record's FIFO position.
+            record.provider = provider
+            record.piggybacked = False
+            record.used = False
+        if related:
+            for rel_service, rel_provider in related:
+                self._learn(rel_service, rel_provider, True)
         if destination == self.nid:
             # Only the first reply answers the request; later ones find
             # nothing pending.

@@ -3,7 +3,7 @@ import math
 import re
 import sys
 import weakref
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -301,6 +301,46 @@ def test_one_delivery_event_per_transmission():
     assert first[:2] < second[:2]
 
 
+def test_a_run_cut_mid_flood_counts_and_queues_every_send():
+    # _loop queues each handler's send itself and adds its two transmission
+    # counters to the metrics when it returns.  Cut the clock half a hop
+    # after the first instant at which a forward, an answer and a relay hop
+    # all leave, so that sends of each kind are still queued when it ends.
+    probe = []
+    Simulation(FLOOD50, trace=probe).run()
+    sends = defaultdict(set)  # time -> kinds of send made then
+    for time, kind, sender, *rest in map(str.split, probe):
+        if kind == "tx_bcast":
+            sends[time].add("forward")
+        elif kind == "tx_ucast":
+            sends[time].add("answer" if rest[2] == f"responder={sender}" else "relay")
+    cut = next(time for time, kinds in sends.items() if len(kinds) == 3)
+    cfg = replace(FLOOD50, sim_duration=float(cut) + FLOOD50.hop_latency / 2)
+    trace = []
+    sim = Simulation(cfg, trace=trace)
+    metrics = sim.run()
+    assert sim._deliveries
+    assert metrics == run(cfg)
+    kinds = Counter(line.split()[1] for line in trace)
+    assert (kinds["tx_bcast"], kinds["tx_ucast"]) == (metrics.sreq_transmissions,
+                                                      metrics.srep_transmissions)
+    # Each entry is laid out as deliver_broadcast and deliver_unicast make
+    # it: (time, seq, recipients, from_node, packet).
+    adjacency = sim.topology.adjacency
+    for entry in sim._deliveries:
+        time, seq, recipients, from_node, packet = entry
+        assert time > cfg.sim_duration and type(seq) is int
+        if len(packet) == SREQ_FIELDS:
+            assert recipients == adjacency[from_node]
+        else:
+            assert recipients in adjacency[from_node]
+    queued = [entry[3:] for entry in sim._deliveries]
+    assert any(len(packet) == SREQ_FIELDS for _, packet in queued)
+    assert any(len(packet) != SREQ_FIELDS and packet[0] == sender for sender, packet in queued)
+    assert any(len(packet) != SREQ_FIELDS and packet[0] != sender for sender, packet in queued)
+    assert list(sim._deliveries) == sorted(sim._deliveries, key=lambda entry: entry[:2])
+
+
 # The config of CI's command-line run: overheard logging and support 0.3
 # give the mining-on run frequent pairs, so a reply piggybacks a record.
 CLI_CONFIG = SimConfig(node_count=6, service_count=4, sessions_per_consumer=3,
@@ -310,19 +350,32 @@ CLI_CONFIG = SimConfig(node_count=6, service_count=4, sessions_per_consumer=3,
 def test_sent_packets_are_plain_tuples_that_the_codec_round_trips(monkeypatch):
     # The engine builds each packet as a plain tuple in the field order of
     # Sreq or Srep, and routes it by its field count; named, it must encode.
+    # Every packet a handler returns is sent: a relay's is the second item
+    # of handle_srep's (upstream, srep).
     sent = []
-    broadcast, unicast = Simulation.deliver_broadcast, Simulation.deliver_unicast
+    issue, handle_sreq, handle_srep = Node.issue_request, Node.handle_sreq, Node.handle_srep
 
-    def record_broadcast(sim, from_node, sreq, now):
-        sent.append(sreq)
-        broadcast(sim, from_node, sreq, now)
+    def record_issue(node, *args):
+        sreq = issue(node, *args)
+        if sreq is not None:
+            sent.append(sreq)
+        return sreq
 
-    def record_unicast(sim, from_node, to, srep, now):
-        sent.append(srep)
-        unicast(sim, from_node, to, srep, now)
+    def record_sreq(node, *args):
+        out = handle_sreq(node, *args)
+        if out is not None:
+            sent.append(out)
+        return out
 
-    monkeypatch.setattr(Simulation, "deliver_broadcast", record_broadcast)
-    monkeypatch.setattr(Simulation, "deliver_unicast", record_unicast)
+    def record_srep(node, srep):
+        emission = handle_srep(node, srep)
+        if emission is not None:
+            sent.append(emission[1])
+        return emission
+
+    monkeypatch.setattr(Node, "issue_request", record_issue)
+    monkeypatch.setattr(Node, "handle_sreq", record_sreq)
+    monkeypatch.setattr(Node, "handle_srep", record_srep)
     metrics = run(CLI_CONFIG)
     assert len(sent) == metrics.sreq_transmissions + metrics.srep_transmissions
     for packet in sent:

@@ -284,6 +284,26 @@ def test_handle_srep_transit_forwards_and_caches():
     assert list(node._records) == [3, 7]
 
 
+def test_relayed_answer_for_a_known_service_updates_its_record_in_place():
+    # handle_srep overwrites a known service's record itself, without _learn.
+    node = make_node(nid=2)
+    node.handle_sreq(Sreq(origin=1, seq=0, session_seq=0, requested=7, ttl=8),
+                     from_node=3, now=1.0)
+    node.handle_srep(Srep(4, 2, (2, 0), 8, answer=(5, 1), related=((7, 6), (9, 6))))
+    record = node._records[7]
+    record.used = True
+    before = {service: (r.provider, r.piggybacked, r.used)
+              for service, r in node._records.items()}
+    to, _ = node.handle_srep(Srep(4, 1, (1, 0), 8, answer=(7, 8), related=()))
+    assert to == 3
+    assert node._records[7] is record
+    assert list(node._records) == [5, 7, 9]
+    after = {service: (r.provider, r.piggybacked, r.used)
+             for service, r in node._records.items()}
+    assert after == {**before, 7: (8, False, False)}
+    assert node.metrics == Metrics()
+
+
 def test_handle_srep_unknown_reverse_path_dropped():
     # The relay saw the request, then forgot it for a later one.
     node = make_node(nid=2, seen_capacity=1)
