@@ -15,11 +15,13 @@ forward, answer and relay hop with no method call, and adds its two
 transmission counters to the metrics when it returns.  Only an origin's
 request goes out through ``deliver_broadcast``; ``deliver_unicast`` is
 kept, uncalled, for the benchmark's per-layer profile, which names it.
-Every node's seen memory lives in one flood table per run (``node.py``):
-a row per flood, one slot per node, kept for the whole run, and indexed
-by origin, then seq.  The loop reads a broadcast's row once, with two
-list subscripts, so the duplicate check of each recipient is a list slot
-and no id is hashed.
+Every node's seen memory lives in the flood rows (``node.py``): a row per
+flood, one slot per node, which the origin's ``issue_request`` makes.
+Each delivery entry carries its flood's row, and each send the loop makes
+carries the row of the delivery that caused it, so the duplicate check of
+each recipient is a list slot, no id is hashed, and no table indexes the
+rows: reference counting frees a row once no node remembers it and no
+queued delivery carries it.
 A timer's heap entry carries the plain function that runs it, so the loop
 compares no event kind.  One mining tick per interval visits every node in
 id order, closes its due sessions and re-mines it if its closed sessions
@@ -236,18 +238,14 @@ class Simulation:
         self.cm = build_correlation_matrix(config.service_count, workload_rng)
         self.schedule = build_schedule(config, self.cm, workload_rng)
         self.metrics = Metrics()
-        # One flood table, shared by the nodes: origin -> seq -> row, one
-        # slot per node.  Each origin's issue_request appends its rows.
-        self._floods: list[list[Row]] = [[] for _ in range(config.node_count)]
-        self.nodes = [Node(i, config, self.metrics, self._floods)
-                      for i in range(config.node_count)]
+        self.nodes = [Node(i, config, self.metrics) for i in range(config.node_count)]
         for service, provider in self.placement.items():
             self.nodes[provider].host_service(service)
         self._heap: list = []
         # Deliveries are appended in (time, seq) order, as each is due a fixed
         # hop_latency after the current time; one seq numbers both queues.
         # An SREQ's recipients are its sender's adjacency, an SREP's its one id.
-        self._deliveries: deque = deque()  # (time, seq, recipients, from_node, packet)
+        self._deliveries: deque = deque()  # (time, seq, recipients, from_node, packet, row)
         self._seq = count()
         self._mine_cache: dict[tuple, dict] = {}
         # Every request timer is known now: append them in schedule order and
@@ -293,18 +291,20 @@ class Simulation:
 
     # -- delivery ------------------------------------------------------------
 
-    def deliver_broadcast(self, from_node: int, sreq: SreqFields, now: float) -> None:
-        """Count and trace one SREQ broadcast; one event delivers it to
-        every neighbour, in adjacency order.  ``_issue`` sends an origin's
-        request through it; ``_loop`` queues the forwards itself, in the
-        same way."""
+    def deliver_broadcast(self, from_node: int, sreq: SreqFields, row: Row,
+                          now: float) -> None:
+        """Count and trace one SREQ broadcast of the flood whose row is
+        ``row``; one event delivers it to every neighbour, in adjacency
+        order.  ``_issue`` sends an origin's request through it; ``_loop``
+        queues the forwards itself, in the same way."""
         self.metrics.sreq_transmissions += 1
         if self.trace is not None:
             self._trace(now, "tx_bcast", from_node, _packet_detail(sreq))
         self._deliveries.append((now + self._hop_latency, next(self._seq),
-                                 self.topology.adjacency[from_node], from_node, sreq))
+                                 self.topology.adjacency[from_node], from_node, sreq, row))
 
-    def deliver_unicast(self, from_node: int, to: int, srep: SrepFields, now: float) -> None:
+    def deliver_unicast(self, from_node: int, to: int, srep: SrepFields, row: Row,
+                        now: float) -> None:
         """Count and trace one SREP unicast, as ``_loop`` does for each
         answer and relay hop.  The engine never calls it: it stays for the
         benchmark's per-layer profile, whose target list
@@ -315,7 +315,7 @@ class Simulation:
         if self.trace is not None:
             self._trace(now, "tx_ucast", from_node, f"to={to} " + _packet_detail(srep))
         self._deliveries.append((now + self._hop_latency, next(self._seq),
-                                 to, from_node, srep))
+                                 to, from_node, srep, row))
 
     # -- main loop -----------------------------------------------------------
 
@@ -336,14 +336,15 @@ class Simulation:
         return m
 
     def _loop(self) -> None:
-        heap, deliveries, nodes, floods = self._heap, self._deliveries, self.nodes, self._floods
+        heap, deliveries, nodes = self._heap, self._deliveries, self.nodes
         end = (self.cfg.sim_duration, -1)  # sorts after every event due before the end
         tracing, trace = self.trace is not None, self._trace
         # The loop queues each handler's send itself, with these bound once:
         # a send is due one hop after the delivery that caused it, and its
-        # entry is (time, seq, recipients, from_node, packet), as
-        # deliver_broadcast makes.  The two transmission counters are
-        # committed to the metrics when the loop returns, also if it raises.
+        # entry is (time, seq, recipients, from_node, packet, row), as
+        # deliver_broadcast makes, with that delivery's row.  The two
+        # transmission counters are committed to the metrics when the loop
+        # returns, also if it raises.
         adjacency, hop, seq, queue = (self.topology.adjacency, self._hop_latency,
                                       self._seq, deliveries.append)
         handle_sreq, handle_srep = Node.handle_sreq, Node.handle_srep
@@ -353,38 +354,34 @@ class Simulation:
                 # Run the deliveries that sort before the timer at the heap's
                 # head (never empty: SCAN reschedules itself), then that
                 # timer's function.  SREQ recipients go in adjacency order;
-                # one that remembers the request's id is skipped (its deliver
-                # line still shows).  The flood's row exists, since its
-                # origin's issue_request made it before the first copy went
-                # out, and a handler only writes slots, so it is read once per
-                # broadcast.
+                # one that remembers the request's id, by its slot of the
+                # flood's row, is skipped (its deliver line still shows).
                 limit = min(heap[0], end)
                 while deliveries and deliveries[0] < limit:
-                    time, _, recipients, from_node, packet = deliveries.popleft()
+                    time, _, recipients, from_node, packet, row = deliveries.popleft()
                     due = time + hop
                     if tracing:
                         detail = f"from={from_node} " + _packet_detail(packet)
                     if len(packet) == SREQ_FIELDS:
-                        row = floods[packet[0]][packet[1]]
                         for to in recipients:
                             if tracing:
                                 trace(time, DELIVER, to, detail)
                             if row[to] is not None:
                                 continue
-                            out = handle_sreq(nodes[to], packet, from_node, time)
+                            out = handle_sreq(nodes[to], packet, row, from_node, time)
                             if out is None:
                                 continue
                             if len(out) == SREQ_FIELDS:  # a forward floods on
                                 sreq_tx += 1
                                 if tracing:
                                     trace(time, "tx_bcast", to, _packet_detail(out))
-                                queue((due, next(seq), adjacency[to], to, out))
+                                queue((due, next(seq), adjacency[to], to, out, row))
                             else:  # an answer goes back to the sender
                                 srep_tx += 1
                                 if tracing:
                                     trace(time, "tx_ucast", to,
                                           f"to={from_node} " + _packet_detail(out))
-                                queue((due, next(seq), from_node, to, out))
+                                queue((due, next(seq), from_node, to, out, row))
                     else:
                         # Replies are only ever unicast to one recipient, and
                         # they carry no msg_id of their own to skip on.  A
@@ -393,14 +390,14 @@ class Simulation:
                         to = recipients
                         if tracing:
                             trace(time, DELIVER, to, detail)
-                        emission = handle_srep(nodes[to], packet)
+                        emission = handle_srep(nodes[to], packet, row)
                         if emission is not None:
                             upstream, out = emission
                             srep_tx += 1
                             if tracing:
                                 trace(time, "tx_ucast", to,
                                       f"to={upstream} " + _packet_detail(out))
-                            queue((due, next(seq), upstream, to, out))
+                            queue((due, next(seq), upstream, to, out, row))
                 if heap[0] >= end:
                     return
                 time, _, fire, payload = heapq.heappop(heap)
@@ -413,12 +410,12 @@ class Simulation:
     # -- timers: each is fire(self, time, *payload) and pushes its successor last
 
     def _issue(self, time: float, consumer: int, service: int, session_seq: int) -> None:
-        sreq = self.nodes[consumer].issue_request(service, session_seq, time)
+        issued = self.nodes[consumer].issue_request(service, session_seq, time)
         if self.trace is not None:
             self._trace(time, ISSUE, consumer,
-                        f"svc={service} session={session_seq} local={int(sreq is None)}")
-        if sreq is not None:
-            self.deliver_broadcast(consumer, sreq, time)
+                        f"svc={service} session={session_seq} local={int(issued is None)}")
+        if issued is not None:
+            self.deliver_broadcast(consumer, *issued, time)  # the SREQ and its row
 
     def _scan(self, time: float) -> None:
         expired = 0

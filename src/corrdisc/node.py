@@ -8,25 +8,24 @@ requests, and the pending-request bookkeeping behind the
 locally-satisfied metric.  Each handler returns what the node sends, or
 ``None``; the simulation layer does the delivery.  A packet is a plain
 tuple in the field order of ``Sreq`` or ``Srep`` (``packets.py``), and
-its field count tells the two apart.  ``issue_request`` and
-``handle_sreq`` return the packet itself: an SREQ floods, and an SREP
-answers the node the request came from.  ``handle_srep`` returns
-``(upstream, srep)``, since only the relay knows its stored upstream hop.
+its field count tells the two apart.  ``handle_sreq`` returns the packet
+itself: an SREQ floods on, and an SREP answers the node the request came
+from.  ``issue_request`` returns ``(sreq, row)``, the flood's first packet
+and its new row, and ``handle_srep`` returns ``(upstream, srep)``, since
+only the relay knows its stored upstream hop.
 The handlers take either form as input, as a NamedTuple is a tuple.
 
 The seen memory suppresses duplicate copies of a flood and keeps the
-reverse path a reply retraces.  It lives in the run's flood table, which
-all nodes share: a row per flood with one slot per node, kept for the
-whole run, and indexed by origin, then seq (``floods[origin][seq]``), so
-no ``(origin, seq)`` tuple is built or hashed to find it.  Only an
-origin's ``issue_request`` makes rows: it appends one to its own list, and
-the list's length before the append is the new seq.  The row exists
-before the first copy leaves, so every id a packet carries has a row, and
-the handlers read it with no existence check.  A node's slot holds its
+reverse path a reply retraces.  A flood's row has one slot per node.  The
+origin's ``issue_request`` makes it, and it travels with the flood: the
+engine queues it with every packet the flood causes and passes it to the
+handlers, so no row is looked up by its id.  A node's slot holds its
 first upstream hop of that flood, ``ORIGINATED`` if it issued the
-request, or ``None`` while it does not remember the id.  A node remembers
-at most ``seen_capacity`` ids, keeping their rows oldest first; at
-capacity, it empties its slot of the oldest row.
+request, or ``None`` while it does not remember the id.  A node
+remembers at most ``seen_capacity`` ids, keeping their rows oldest
+first; at capacity, it empties its slot of the oldest row.  Reference
+counting frees a row once no node remembers it and no queued packet
+carries it; a late copy carries the same row and finds its slots.
 
 Every node a reply passes learns its records (``Node._learn``).  A run
 relays replies hundreds of thousands of times, so each hop is kept cheap:
@@ -54,7 +53,7 @@ if TYPE_CHECKING:
 MsgId = tuple[int, int]
 Row = list[int | None]  # a flood's slots, one per node
 
-ORIGINATED = -1  # the flood table slot of a request's origin; no node id is negative
+ORIGINATED = -1  # the row slot of a request's origin; no node id is negative
 
 
 @dataclass(slots=True)
@@ -106,8 +105,7 @@ class ServiceTable:
 
 
 class Node:
-    def __init__(self, nid: int, config: "SimConfig", metrics: "Metrics",
-                 floods: list[list[Row]]):
+    def __init__(self, nid: int, config: "SimConfig", metrics: "Metrics"):
         self.nid = nid
         self.cfg = config
         self.metrics = metrics
@@ -136,13 +134,11 @@ class Node:
         # (log.closed_version, transaction count) that `itemsets` and
         # `_masks` were kept from; an empty log at version 0 mines to nothing.
         self._mined_from = (0, 0)
-        # The seen memory is this node's slot of each row of the flood table,
-        # origin -> seq -> row (module docstring), which every node of a run
-        # shares, with a list per origin.  Only issue_request makes rows, in
-        # this node's own list, whose length is the next seq it issues.
-        self._floods = floods
-        # The rows whose slot this node holds, oldest first (an id is
-        # remembered only once); the oldest one's slot is emptied first.
+        # The seq of the next flood this node issues: the count of its floods.
+        self._issued = 0
+        # The seen memory (module docstring): the rows whose slot this node
+        # holds, oldest first (an id is remembered only once); the oldest
+        # one's slot is emptied first.
         self._seen_order: deque[Row] = deque()
         self._pending: dict[MsgId, float] = {}   # msg_id -> issue time
 
@@ -191,7 +187,9 @@ class Node:
 
     # -- protocol handlers --------------------------------------------------
 
-    def issue_request(self, service: int, session_seq: int, now: float) -> SreqFields | None:
+    def issue_request(self, service: int, session_seq: int,
+                      now: float) -> tuple[SreqFields, Row] | None:
+        """``None`` for a local hit, else the flood's SREQ and its new row."""
         m = self.metrics
         m.requests_issued += 1
         if self._log_requests:
@@ -203,21 +201,19 @@ class Node:
                 m.prediction_hits += 1
             record.used = True
             return None
-        rows = self._floods[self.nid]
-        seq = len(rows)
+        seq = self._issued
+        self._issued = seq + 1
         row = [None] * self.cfg.node_count
-        rows.append(row)
         self._remember(row, ORIGINATED)
         self._pending[(self.nid, seq)] = now
         m.broadcasts_originated += 1
-        return (self.nid, seq, session_seq, service, self._initial_ttl)
+        return (self.nid, seq, session_seq, service, self._initial_ttl), row
 
-    def handle_sreq(self, sreq: SreqFields, from_node: int,
+    def handle_sreq(self, sreq: SreqFields, row: Row, from_node: int,
                     now: float) -> SreqFields | SrepFields | None:
-        """Handle a request whose id the node has not seen; the caller
-        (``Simulation._loop``) drops duplicates before calling."""
+        """Handle a request whose id the node has not seen, in the flood
+        ``row``; the caller (``Simulation._loop``) drops duplicates."""
         origin, seq, session_seq, requested, ttl = sreq
-        row = self._floods[origin][seq]
         # _remember, inlined: this runs once per first copy of a flood.
         order, nid = self._seen_order, self.nid
         if len(order) >= self._seen_capacity:
@@ -239,7 +235,8 @@ class Node:
             return (origin, seq, session_seq, requested, ttl - 1)
         return None
 
-    def handle_srep(self, srep: SrepFields) -> tuple[int, SrepFields] | None:
+    def handle_srep(self, srep: SrepFields, row: Row) -> tuple[int, SrepFields] | None:
+        """Learn a reply's records and relay it by ``row``, its request's flood."""
         responder, destination, in_reply_to, ttl, answer, related = srep
         service, provider = answer
         record = self._records.get(service)
@@ -263,7 +260,7 @@ class Node:
             return None
         # A relay that forgot the id and then handled a later copy stored a
         # new upstream, so a reverse path can loop; the TTL ends the loop.
-        upstream = self._floods[in_reply_to[0]][in_reply_to[1]][self.nid]
+        upstream = row[self.nid]
         if upstream is None or upstream == ORIGINATED or ttl <= 0:
             self.metrics.packets_dropped += 1
             return None

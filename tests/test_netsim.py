@@ -2,6 +2,7 @@ import gc
 import math
 import re
 import sys
+import tracemalloc
 import weakref
 from collections import Counter, defaultdict, deque
 from dataclasses import fields, replace
@@ -123,9 +124,9 @@ def test_run_restores_the_collector_state(enabled, collector_on, monkeypatch):
     seen = []
     handle_sreq = Node.handle_sreq
 
-    def spy(node, sreq, from_node, now):
+    def spy(node, *args):
         seen.append(gc.isenabled())
-        return handle_sreq(node, sreq, from_node, now)
+        return handle_sreq(node, *args)
 
     monkeypatch.setattr(Node, "handle_sreq", spy)
     run(replace(SMALL, seed=2))
@@ -134,7 +135,7 @@ def test_run_restores_the_collector_state(enabled, collector_on, monkeypatch):
 
 
 def test_run_restores_the_collector_when_it_raises(monkeypatch, collector_on):
-    def boom(node, sreq, from_node, now):
+    def boom(node, *args):
         raise ValueError("handler failed")
 
     monkeypatch.setattr(Node, "handle_sreq", boom)
@@ -290,18 +291,22 @@ def test_one_delivery_event_per_transmission():
     timers = list(sim._heap)
     sreq = Sreq(sender, 0, 0, 1, 1)
     srep = Srep(sender, neighbor, (neighbor, 0), 8, (1, sender), ())
-    sim.deliver_broadcast(sender, sreq, now=0.0)
-    sim.deliver_unicast(sender, neighbor, srep, now=0.0)
+    sreq_row, srep_row = [None] * SMALL.node_count, [None] * SMALL.node_count
+    sim.deliver_broadcast(sender, sreq, sreq_row, now=0.0)
+    sim.deliver_unicast(sender, neighbor, srep, srep_row, now=0.0)
     assert sim._heap == timers   # deliveries never enter the timer heap
-    # A delivery is (time, seq, recipients, from_node, packet): an SREQ's
-    # recipients are the sender's adjacency, an SREP's its one recipient id.
-    assert [e[2:] for e in sim._deliveries] == [
+    # A delivery is (time, seq, recipients, from_node, packet, row): an
+    # SREQ's recipients are the sender's adjacency, an SREP's its one
+    # recipient id, and each carries the row of its flood.
+    assert [e[2:5] for e in sim._deliveries] == [
         (sim.topology.adjacency[sender], sender, sreq), (neighbor, sender, srep)]
+    assert [e[5] for e in sim._deliveries] == [sreq_row, srep_row]
     first, second = sim._deliveries
+    assert first[5] is sreq_row and second[5] is srep_row
     assert first[:2] < second[:2]
 
 
-def test_a_run_cut_mid_flood_counts_and_queues_every_send():
+def test_a_run_cut_mid_flood_counts_and_queues_every_send(monkeypatch):
     # _loop queues each handler's send itself and adds its two transmission
     # counters to the metrics when it returns.  Cut the clock half a hop
     # after the first instant at which a forward, an answer and a relay hop
@@ -316,25 +321,41 @@ def test_a_run_cut_mid_flood_counts_and_queues_every_send():
             sends[time].add("answer" if rest[2] == f"responder={sender}" else "relay")
     cut = next(time for time, kinds in sends.items() if len(kinds) == 3)
     cfg = replace(FLOOD50, sim_duration=float(cut) + FLOOD50.hop_latency / 2)
+    made = {}   # msg_id -> the row its origin's issue_request made
+    issue = Node.issue_request
+
+    def record_issue(node, *args):
+        issued = issue(node, *args)
+        if issued is not None:
+            made[issued[0][:2]] = issued[1]
+        return issued
+
+    monkeypatch.setattr(Node, "issue_request", record_issue)
     trace = []
     sim = Simulation(cfg, trace=trace)
     metrics = sim.run()
+    monkeypatch.undo()   # the run below must not overwrite `made`
     assert sim._deliveries
     assert metrics == run(cfg)
     kinds = Counter(line.split()[1] for line in trace)
     assert (kinds["tx_bcast"], kinds["tx_ucast"]) == (metrics.sreq_transmissions,
                                                       metrics.srep_transmissions)
     # Each entry is laid out as deliver_broadcast and deliver_unicast make
-    # it: (time, seq, recipients, from_node, packet).
+    # it: (time, seq, recipients, from_node, packet, row).  A forward, an
+    # answer and a relay hop each carry the very row that the origin made
+    # for the flood, in which their sender remembers the request.
     adjacency = sim.topology.adjacency
     for entry in sim._deliveries:
-        time, seq, recipients, from_node, packet = entry
+        time, seq, recipients, from_node, packet, row = entry
         assert time > cfg.sim_duration and type(seq) is int
         if len(packet) == SREQ_FIELDS:
             assert recipients == adjacency[from_node]
+            assert row is made[packet[:2]]
         else:
             assert recipients in adjacency[from_node]
-    queued = [entry[3:] for entry in sim._deliveries]
+            assert row is made[packet[2]]
+        assert row[from_node] is not None
+    queued = [entry[3:5] for entry in sim._deliveries]
     assert any(len(packet) == SREQ_FIELDS for _, packet in queued)
     assert any(len(packet) != SREQ_FIELDS and packet[0] == sender for sender, packet in queued)
     assert any(len(packet) != SREQ_FIELDS and packet[0] != sender for sender, packet in queued)
@@ -350,16 +371,17 @@ CLI_CONFIG = SimConfig(node_count=6, service_count=4, sessions_per_consumer=3,
 def test_sent_packets_are_plain_tuples_that_the_codec_round_trips(monkeypatch):
     # The engine builds each packet as a plain tuple in the field order of
     # Sreq or Srep, and routes it by its field count; named, it must encode.
-    # Every packet a handler returns is sent: a relay's is the second item
-    # of handle_srep's (upstream, srep).
+    # Every packet a handler returns is sent: an origin's is the first item
+    # of issue_request's (sreq, row), and a relay's the second item of
+    # handle_srep's (upstream, srep).
     sent = []
     issue, handle_sreq, handle_srep = Node.issue_request, Node.handle_sreq, Node.handle_srep
 
     def record_issue(node, *args):
-        sreq = issue(node, *args)
-        if sreq is not None:
-            sent.append(sreq)
-        return sreq
+        issued = issue(node, *args)
+        if issued is not None:
+            sent.append(issued[0])
+        return issued
 
     def record_sreq(node, *args):
         out = handle_sreq(node, *args)
@@ -367,8 +389,8 @@ def test_sent_packets_are_plain_tuples_that_the_codec_round_trips(monkeypatch):
             sent.append(out)
         return out
 
-    def record_srep(node, srep):
-        emission = handle_srep(node, srep)
+    def record_srep(node, *args):
+        emission = handle_srep(node, *args)
         if emission is not None:
             sent.append(emission[1])
         return emission
@@ -387,16 +409,34 @@ def test_sent_packets_are_plain_tuples_that_the_codec_round_trips(monkeypatch):
 
 @pytest.mark.parametrize("cfg", [GOLDEN_DENSE, FLOOD50], ids=["forgetful", "flood50"])
 def test_only_origins_create_flood_rows(cfg):
-    # _loop and the handlers index a flood's row with no existence check:
-    # each origin made one row per request it flooded, and no relay made any.
+    # Only an origin's issue_request makes a row, one per request it
+    # flooded, numbered by _issued; the rows still held have a slot per node.
     trace = []
     sim = Simulation(cfg, trace=trace)
     metrics = sim.run()
     flooded = Counter(int(line.split()[2]) for line in trace
                       if line.split()[1] == ISSUE and line.endswith(" local=0"))
-    assert [len(rows) for rows in sim._floods] == [flooded[nid] for nid in range(cfg.node_count)]
-    assert sum(len(rows) for rows in sim._floods) == metrics.broadcasts_originated > 0
-    assert all(len(row) == cfg.node_count for rows in sim._floods for row in rows)
+    assert [node._issued for node in sim.nodes] == [flooded[nid] for nid in range(cfg.node_count)]
+    assert sum(node._issued for node in sim.nodes) == metrics.broadcasts_originated > 0
+    held = [row for node in sim.nodes for row in node._seen_order]
+    assert all(len(row) == cfg.node_count for row in held + [e[5] for e in sim._deliveries])
+
+
+def test_forgotten_flood_rows_are_freed():
+    # A row lives only while a node remembers its flood or a queued
+    # delivery carries it.  These seen memories hold 8 ids each, so by the
+    # end of the run most floods are forgotten by every node, and the run
+    # holds far less than a row per flood.
+    cfg = SimConfig(node_count=100, service_count=10, field_size=(707.0, 707.0),
+                    seen_capacity=8, sessions_per_consumer=3, sim_duration=270.0)
+    sim = Simulation(cfg)
+    tracemalloc.start()
+    try:
+        metrics = sim.run()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < metrics.broadcasts_originated * sys.getsizeof([None] * cfg.node_count)
 
 
 def test_heap_entries_carry_the_timer_functions():

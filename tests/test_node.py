@@ -8,26 +8,23 @@ from corrdisc.packets import SREQ_FIELDS, Sreq, Srep
 from trace_audit import SeenMemory, ranked_by_pair_counts
 
 
-class IssuedRows(list):
-    """An origin's list of the flood table, for handler tests that make up
-    ids: reading a seq past the last row first appends empty rows up to it,
-    as if the origin had issued those requests.  In a run only the origin's
-    ``issue_request`` appends rows."""
-
-    def __init__(self, node_count: int):
-        super().__init__()
-        self.node_count = node_count
-
-    def __getitem__(self, seq):
-        while len(self) <= seq:
-            self.append([None] * self.node_count)
-        return super().__getitem__(seq)
+NODE_COUNT = 4
 
 
 def make_node(nid=0, **overrides) -> Node:
-    cfg = SimConfig(node_count=4, service_count=16, **overrides)
-    floods = [IssuedRows(cfg.node_count) for _ in range(cfg.node_count)]
-    return Node(nid, cfg, Metrics(), floods)
+    return Node(nid, SimConfig(node_count=NODE_COUNT, service_count=16, **overrides), Metrics())
+
+
+def new_row() -> list:
+    """An empty flood row, as the origin's ``issue_request`` makes one."""
+    return [None] * NODE_COUNT
+
+
+def flood_row(rows: dict, msg_id) -> list:
+    """The row of ``msg_id`` in a test's own ``{msg_id: row}`` dict, for
+    tests that make up ids: a new id gets an empty row, as if its origin
+    had issued it.  In a run each packet carries its flood's row."""
+    return rows.setdefault(msg_id, new_row())
 
 
 def rec(service, provider=9, piggybacked=False):
@@ -44,16 +41,15 @@ def as_packet(t) -> Sreq | Srep:
     return Sreq._make(t) if len(t) == SREQ_FIELDS else Srep._make(t)
 
 
-def seen(node) -> dict:
+def seen(node, rows: dict) -> dict:
     """The ids ``node`` remembers, oldest first, each with its slot.  Each
-    row of ``_seen_order`` is named by its place in the flood table, found
-    by identity, and no row outside ``_seen_order`` may hold a slot."""
-    table = {(origin, seq): row for origin, rows in enumerate(node._floods)
-             for seq, row in enumerate(rows)}
-    ids = {id(row): msg_id for msg_id, row in table.items()}
+    row of ``_seen_order`` is named by its id in ``rows``, the test's own
+    ``{msg_id: row}`` dict, found by identity, and no row of ``rows``
+    outside ``_seen_order`` may hold a slot."""
+    ids = {id(row): msg_id for msg_id, row in rows.items()}
     remembered = {ids[id(row)]: row[node.nid] for row in node._seen_order}
     assert len(remembered) == len(node._seen_order)
-    assert remembered.keys() == {msg_id for msg_id, row in table.items()
+    assert remembered.keys() == {msg_id for msg_id, row in rows.items()
                                  if row[node.nid] is not None}
     return remembered
 
@@ -128,30 +124,32 @@ def test_issue_request_cached_service():
 
 def test_issue_request_miss_broadcasts_full_ttl():
     node = make_node()
-    sreq = node.issue_request(3, 0, now=1.0)
+    sreq, row = node.issue_request(3, 0, now=1.0)
     assert sreq == Sreq(origin=0, seq=0, session_seq=0, requested=3,
                         ttl=node.cfg.initial_ttl)
+    assert row == [ORIGINATED, None, None, None]
     assert node.metrics.broadcasts_originated == 1
     # The request is logged locally either way.
     assert node.log.records[0].services == {3}
 
 
-def test_issue_request_appends_one_row_to_its_own_list():
-    # The engine's table: a plain list per origin.  The list's length is the
-    # next seq, and a locally satisfied request makes no row.
-    cfg = SimConfig(node_count=4, service_count=16)
-    floods = [[] for _ in range(cfg.node_count)]
-    node = Node(2, cfg, Metrics(), floods)
+def test_issue_request_numbers_its_floods_and_returns_their_rows():
+    # _issued is the next seq, and a locally satisfied request makes no row.
+    node = make_node(nid=2)
     node._learn(5, 9, False)
+    rows = []
     for seq in range(3):
         assert node.issue_request(5, seq, now=float(seq)) is None
-        assert [len(rows) for rows in floods] == [0, 0, seq, 0]
-        sreq = as_packet(node.issue_request(3, seq, now=float(seq)))
-        assert sreq.msg_id == (2, seq)
-        assert len(floods[2]) == seq + 1
-        assert floods[2][seq] == [None, None, ORIGINATED, None]
-        assert node._seen_order[-1] is floods[2][seq]
-    assert [len(rows) for rows in floods] == [0, 0, 3, 0]
+        assert node._issued == seq
+        sreq, row = node.issue_request(3, seq, now=float(seq))
+        assert as_packet(sreq).msg_id == (2, seq)
+        assert node._issued == seq + 1
+        assert row == [None, None, ORIGINATED, None]
+        assert node._seen_order[-1] is row
+        rows.append(row)
+    # Each flood has a row of its own, and the node remembers all three.
+    assert [id(row) for row in node._seen_order] == [id(row) for row in rows]
+    assert len({id(row) for row in rows}) == 3
     assert node.metrics.broadcasts_originated == 3
 
 
@@ -179,7 +177,7 @@ def test_handle_sreq_answers_with_related_from_table():
     node._learn(7, 6, False)
     mine_sessions(node, [{3, 7}] * 4)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    srep = as_packet(node.handle_sreq(sreq, from_node=3, now=2.0))
+    srep = as_packet(node.handle_sreq(sreq, new_row(), from_node=3, now=2.0))
     # The bare packet: the engine sends an answer back to from_node.
     assert type(srep) is Srep
     assert srep.destination == 1
@@ -193,7 +191,7 @@ def test_handle_sreq_related_filtered_to_known_services():
     node._learn(3, 5, False)
     mine_sessions(node, [{3, 9}] * 4)   # 9 is co-frequent but unknown here
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    srep = as_packet(node.handle_sreq(sreq, from_node=1, now=2.0))
+    srep = as_packet(node.handle_sreq(sreq, new_row(), from_node=1, now=2.0))
     assert srep.related == ()
 
 
@@ -205,7 +203,7 @@ def test_handle_sreq_related_capped_and_ranked():
     # threshold ceil(0.3 * 5) = 2.
     mine_sessions(node, [{3, 6, 7, 8}] * 2 + [{3, 7, 8}] * 3)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    srep = as_packet(node.handle_sreq(sreq, from_node=1, now=2.0))
+    srep = as_packet(node.handle_sreq(sreq, new_row(), from_node=1, now=2.0))
     # Strongest support first, ties toward the lower id, capped at 2.
     assert node._ranked[3] == [7, 8, 6]
     assert srep.related == ((7, 1), (8, 1))
@@ -214,13 +212,13 @@ def test_handle_sreq_related_capped_and_ranked():
 def test_handle_sreq_ttl_exhausted():
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=0)
-    assert node.handle_sreq(sreq, from_node=1, now=2.0) is None
+    assert node.handle_sreq(sreq, new_row(), from_node=1, now=2.0) is None
 
 
 def test_handle_sreq_rebroadcast_decrements_ttl():
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    fwd = as_packet(node.handle_sreq(sreq, from_node=1, now=2.0))
+    fwd = as_packet(node.handle_sreq(sreq, new_row(), from_node=1, now=2.0))
     # The bare packet: the engine broadcasts every SREQ a handler returns.
     assert type(fwd) is Sreq
     assert fwd.ttl == 7
@@ -230,7 +228,7 @@ def test_handle_sreq_rebroadcast_decrements_ttl():
 def test_handle_sreq_logs_overheard_request():
     node = make_node(nid=2, log_overheard=True)
     sreq = Sreq(origin=1, seq=0, session_seq=4, requested=3, ttl=8)
-    node.handle_sreq(sreq, from_node=1, now=2.0)
+    node.handle_sreq(sreq, new_row(), from_node=1, now=2.0)
     assert node.log.records[0].key == (1, 4)
     assert node.log.records[0].services == {3}
 
@@ -238,7 +236,7 @@ def test_handle_sreq_logs_overheard_request():
 def test_handle_sreq_no_overheard_logging_when_disabled():
     node = make_node(nid=2, log_overheard=False)
     sreq = Sreq(origin=1, seq=0, session_seq=4, requested=3, ttl=8)
-    node.handle_sreq(sreq, from_node=1, now=2.0)
+    node.handle_sreq(sreq, new_row(), from_node=1, now=2.0)
     assert len(node.log) == 0
 
 
@@ -249,7 +247,7 @@ def test_handle_srep_destined_insert_order_answer_first():
     node._pending[(1, 0)] = 0.0
     srep = Srep(responder=2, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6), (9, 6)))
-    assert node.handle_srep(srep) is None
+    assert node.handle_srep(srep, new_row()) is None
     assert list(node._records) == [3, 7, 9]
     assert [r.piggybacked for r in node._records.values()] == [False, True, True]
     assert node._pending == {}
@@ -257,16 +255,16 @@ def test_handle_srep_destined_insert_order_answer_first():
 
 def test_only_the_first_reply_answers_a_request():
     node = make_node(nid=1)
-    sreq = as_packet(node.issue_request(3, 0, now=0.0))
+    sreq, row = node.issue_request(3, 0, now=0.0)
     for responder in (2, 4):
-        srep = Srep(responder=responder, destination=1, in_reply_to=sreq.msg_id,
+        srep = Srep(responder=responder, destination=1, in_reply_to=as_packet(sreq).msg_id,
                     ttl=8, answer=(3, 5))
-        assert node.handle_srep(srep) is None
+        assert node.handle_srep(srep, row) is None
     assert node.metrics.requests_answered == 1
     # A reply that arrives after the request timed out answers nothing.
-    late = as_packet(node.issue_request(6, 0, now=2.0))
+    late, row = node.issue_request(6, 0, now=2.0)
     assert node.expire_pending(now=10.0) == 1
-    node.handle_srep(Srep(2, 1, late.msg_id, 8, answer=(6, 5)))
+    node.handle_srep(Srep(2, 1, as_packet(late).msg_id, 8, answer=(6, 5)), row)
     assert node.metrics.requests_answered == 1
     assert node.metrics.requests_failed == 1
 
@@ -274,11 +272,12 @@ def test_only_the_first_reply_answers_a_request():
 def test_handle_srep_transit_forwards_and_caches():
     node = make_node(nid=2)
     # Transit memory: first saw the sreq from node 3.
-    node.handle_sreq(Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8),
+    row = new_row()
+    node.handle_sreq(Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8), row,
                      from_node=3, now=1.0)
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6),))
-    to, fwd = node.handle_srep(srep)
+    to, fwd = node.handle_srep(srep, row)
     assert to == 3
     assert as_packet(fwd).ttl == 7
     assert list(node._records) == [3, 7]
@@ -287,14 +286,15 @@ def test_handle_srep_transit_forwards_and_caches():
 def test_relayed_answer_for_a_known_service_updates_its_record_in_place():
     # handle_srep overwrites a known service's record itself, without _learn.
     node = make_node(nid=2)
-    node.handle_sreq(Sreq(origin=1, seq=0, session_seq=0, requested=7, ttl=8),
+    row = new_row()
+    node.handle_sreq(Sreq(origin=1, seq=0, session_seq=0, requested=7, ttl=8), row,
                      from_node=3, now=1.0)
-    node.handle_srep(Srep(4, 2, (2, 0), 8, answer=(5, 1), related=((7, 6), (9, 6))))
+    node.handle_srep(Srep(4, 2, (2, 0), 8, answer=(5, 1), related=((7, 6), (9, 6))), new_row())
     record = node._records[7]
     record.used = True
     before = {service: (r.provider, r.piggybacked, r.used)
               for service, r in node._records.items()}
-    to, _ = node.handle_srep(Srep(4, 1, (1, 0), 8, answer=(7, 8), related=()))
+    to, _ = node.handle_srep(Srep(4, 1, (1, 0), 8, answer=(7, 8), related=()), row)
     assert to == 3
     assert node._records[7] is record
     assert list(node._records) == [5, 7, 9]
@@ -307,12 +307,13 @@ def test_relayed_answer_for_a_known_service_updates_its_record_in_place():
 def test_handle_srep_unknown_reverse_path_dropped():
     # The relay saw the request, then forgot it for a later one.
     node = make_node(nid=2, seen_capacity=1)
+    rows = {}
     for seq in range(2):
         node.handle_sreq(Sreq(origin=1, seq=seq, session_seq=0, requested=3, ttl=8),
-                         from_node=3, now=1.0)
+                         flood_row(rows, (1, seq)), from_node=3, now=1.0)
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5))
-    assert node.handle_srep(srep) is None
+    assert node.handle_srep(srep, rows[(1, 0)]) is None
     assert node.metrics.packets_dropped == 1
     # The records are still cached (pseudo-broadcast stores on transit too).
     assert 3 in node._records
@@ -321,10 +322,11 @@ def test_handle_srep_unknown_reverse_path_dropped():
 def test_handle_srep_out_of_ttl_dropped():
     # The relay knows the reverse path, but the reply has no hops left.
     node = make_node(nid=2)
-    node.handle_sreq(Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8),
+    row = new_row()
+    node.handle_sreq(Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8), row,
                      from_node=3, now=1.0)
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=0, answer=(3, 5))
-    assert node.handle_srep(srep) is None
+    assert node.handle_srep(srep, row) is None
     assert node.metrics.packets_dropped == 1
     assert 3 in node._records
 
@@ -333,18 +335,18 @@ def test_handle_srep_piggyback_eviction_accounting():
     node = make_node(nid=1, cache_capacity=5)
     srep = Srep(responder=2, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6),))
-    node.handle_srep(srep)
+    node.handle_srep(srep, new_row())
     # Flood the table so the unused piggybacked record for 7 is evicted.
     for service in (10, 11, 12, 13, 14):
-        node.handle_srep(Srep(2, 1, (1, 0), 8, answer=(service, 5)))
+        node.handle_srep(Srep(2, 1, (1, 0), 8, answer=(service, 5)), new_row())
     assert node.metrics.piggybacked_records_evicted_unused == 1
 
 
 def test_piggybacked_copy_never_downgrades_direct_record():
     node = make_node(nid=1)
-    node.handle_srep(Srep(2, 1, (1, 0), 8, answer=(7, 2)))
+    node.handle_srep(Srep(2, 1, (1, 0), 8, answer=(7, 2)), new_row())
     # Another reply piggybacks the same service as a prediction.
-    node.handle_srep(Srep(2, 1, (1, 1), 8, answer=(3, 5), related=((7, 2),)))
+    node.handle_srep(Srep(2, 1, (1, 1), 8, answer=(3, 5), related=((7, 2),)), new_row())
     record = node._records[7]
     assert not record.piggybacked
     assert list(node._records) == [7, 3]
@@ -473,14 +475,15 @@ def test_pick_related_ranks_each_service_once_per_mine(monkeypatch):
     miner = lambda txns: mine_frequent_itemsets(txns, node.cfg.support)
     node.remine(miner)
     for seq in range(3):
-        srep = as_packet(node.handle_sreq(Sreq(1, seq, 0, 3, 8), from_node=1, now=101.0))
+        srep = as_packet(node.handle_sreq(Sreq(1, seq, 0, 3, 8), new_row(), from_node=1,
+                                          now=101.0))
         assert srep.related == ((7, 6),)
     assert calls == [3]
     node.log.record_request((5, 3), 3, now=102.0)
     node.log.close_stale_sessions(now=200.0, session_window=1.0)
     node.remine(miner)
     # The pair {3, 7} is in 3 of 4 sessions, below ceil(0.8 * 4) = 4 now.
-    srep = as_packet(node.handle_sreq(Sreq(1, 9, 0, 3, 8), from_node=1, now=201.0))
+    srep = as_packet(node.handle_sreq(Sreq(1, 9, 0, 3, 8), new_row(), from_node=1, now=201.0))
     assert srep.related == ()
     assert calls == [3, 3]
 
@@ -489,26 +492,28 @@ def test_baseline_related_always_empty():
     # Without mined itemsets every reply has an empty related list.
     node = make_node(nid=2)
     node._learn(3, 5, False)
-    srep = as_packet(node.handle_sreq(Sreq(1, 0, 0, 3, 8), from_node=1, now=1.0))
+    srep = as_packet(node.handle_sreq(Sreq(1, 0, 0, 3, 8), new_row(), from_node=1, now=1.0))
     assert srep.related == ()
 
 
 def test_seen_memory_bounded():
     node = make_node(seen_capacity=4)
+    rows = {}
     for seq in range(10):
         node.handle_sreq(Sreq(origin=1, seq=seq, session_seq=0, requested=3, ttl=0),
-                         from_node=1, now=0.0)
-    assert seen(node) == {(1, seq): 1 for seq in range(6, 10)}
-    # A copy of a forgotten id is handled again, and its reply goes to the
-    # new upstream; a reply to an id the node forgot is dropped.
-    again = node.handle_sreq(Sreq(1, 0, 0, 3, ttl=2), from_node=2, now=1.0)
+                         flood_row(rows, (1, seq)), from_node=1, now=0.0)
+    assert seen(node, rows) == {(1, seq): 1 for seq in range(6, 10)}
+    # A copy of a forgotten id carries the same row: it is handled again,
+    # and its reply goes to the new upstream; a reply to an id the node
+    # forgot is dropped.
+    again = node.handle_sreq(Sreq(1, 0, 0, 3, ttl=2), rows[(1, 0)], from_node=2, now=1.0)
     assert again == Sreq(1, 0, 0, 3, 1)
-    assert list(seen(node).items()) == [((1, seq), 1) for seq in (7, 8, 9)] + [((1, 0), 2)]
-    assert (1, 6) not in seen(node)
+    assert list(seen(node, rows).items()) == [((1, seq), 1) for seq in (7, 8, 9)] + [((1, 0), 2)]
+    assert (1, 6) not in seen(node, rows)
     srep = Srep(responder=3, destination=1, in_reply_to=(1, 0), ttl=8, answer=(3, 3),
                 related=())
-    assert node.handle_srep(srep) == (2, srep._replace(ttl=7))
-    assert node.handle_srep(srep._replace(in_reply_to=(1, 6))) is None
+    assert node.handle_srep(srep, rows[(1, 0)]) == (2, srep._replace(ttl=7))
+    assert node.handle_srep(srep._replace(in_reply_to=(1, 6)), rows[(1, 6)]) is None
     assert node.metrics.packets_dropped == 1
 
 
@@ -524,34 +529,39 @@ SEEN_OPS = st.lists(st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(SEEN_OPS, st.integers(1, 4))
 def test_seen_memory_matches_the_reference_model(ops, capacity):
-    # The node's slots of its flood table against SeenMemory, op by op.  A
+    # The node's slots of the flood rows against SeenMemory, op by op.  A
     # copy is handled only while the model does not remember its id, as
     # the loop skips the others; a node sees copies of, and replies to,
-    # only those of its own ids that it has issued.  Service 0 is requested
-    # and service 1 answered, so every request floods.
+    # only those of its own ids that it has issued, with the row that
+    # issue_request returned.  Service 0 is requested and service 1
+    # answered, so every request floods.
     node = make_node(seen_capacity=capacity)
     memory = SeenMemory(capacity)
-    issued = node._floods[0]
+    rows = {}
     for op in ops:
         if op[0] == "issue":
-            if len(issued) < 6:
-                memory.remember(node.issue_request(0, 0, now=0.0)[:2], None)
-        elif op[1][0] == 0 and op[1][1] >= len(issued):
+            if node._issued < 6:
+                sreq, row = node.issue_request(0, 0, now=0.0)
+                rows[sreq[:2]] = row
+                memory.remember(sreq[:2], None)
+        elif op[1][0] == 0 and op[1][1] >= node._issued:
             continue
         elif op[0] == "sreq":
             (origin, seq), from_node = op[1], op[2]
             if (origin, seq) not in memory:
-                node.handle_sreq(Sreq(origin, seq, 0, 0, 1), from_node, now=0.0)
+                node.handle_sreq(Sreq(origin, seq, 0, 0, 1), flood_row(rows, (origin, seq)),
+                                 from_node, now=0.0)
                 memory.remember((origin, seq), from_node)
         else:
             msg_id, ttl = op[1], op[2]
             srep = Srep(2, 3, msg_id, ttl, (1, 2), ())
+            row = flood_row(rows, msg_id)
             upstream = memory.get(msg_id)
             if upstream is None or ttl <= 0:
-                assert node.handle_srep(srep) is None
+                assert node.handle_srep(srep, row) is None
             else:
-                assert node.handle_srep(srep) == (upstream, srep._replace(ttl=ttl - 1))
-        assert list(seen(node).items()) == [
+                assert node.handle_srep(srep, row) == (upstream, srep._replace(ttl=ttl - 1))
+        assert list(seen(node, rows).items()) == [
             (msg_id, ORIGINATED if upstream is None else upstream)
             for msg_id, upstream in memory.items()]
 
@@ -603,7 +613,7 @@ def test_learning_matches_inserting_new_records(ops, capacity, hosted):
             if evicted is not None and evicted.piggybacked and not evicted.used:
                 evicted_unused += 1
         srep = Srep(2, 1 if to_me else 3, (1, step), 8, (service, provider), related)
-        node.handle_srep(srep)
+        node.handle_srep(srep, new_row())
         assert list(node._records.values()) == table.records()
     assert node.metrics.piggybacked_records_evicted_unused == evicted_unused
     assert node.metrics.locally_satisfied == hits
@@ -616,20 +626,22 @@ def test_relayed_packets_are_real_packets():
     # of the packet's NamedTuple; a packet with a field too many or too few
     # would be routed as the other kind.
     node = make_node(nid=3)
-    issued = node.issue_request(3, 0, now=0.0)
+    issued, row = node.issue_request(3, 0, now=0.0)
+    assert row is node._seen_order[-1]
     assert type(issued) is tuple
     assert len(issued) == SREQ_FIELDS
     assert issued == Sreq(origin=3, seq=0, session_seq=0, requested=3, ttl=8)
 
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    forwarded = node.handle_sreq(sreq, from_node=1, now=1.0)
+    row = new_row()
+    forwarded = node.handle_sreq(sreq, row, from_node=1, now=1.0)
     assert type(forwarded) is tuple
     assert len(forwarded) == SREQ_FIELDS
     assert forwarded == Sreq(1, 0, 0, 3, 7)
 
     node._learn(4, 5, False)
-    answer = node.handle_sreq(Sreq(1, 1, 0, 4, 8), from_node=1, now=2.0)
+    answer = node.handle_sreq(Sreq(1, 1, 0, 4, 8), new_row(), from_node=1, now=2.0)
     assert type(answer) is tuple
     assert len(answer) == len(Srep._fields)
     assert answer == Srep(responder=2, destination=1, in_reply_to=(1, 1), ttl=8,
@@ -637,7 +649,7 @@ def test_relayed_packets_are_real_packets():
 
     srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
                 answer=(3, 5), related=((7, 6),))
-    _, relayed = node.handle_srep(srep)
+    _, relayed = node.handle_srep(srep, row)
     assert type(relayed) is tuple
     assert len(relayed) == len(Srep._fields)
     assert relayed == srep._replace(ttl=7)

@@ -5,7 +5,7 @@ and the config alone, so it checks relays, drops and mining ticks without
 reading the engine's state.  Its models are also the references that the
 unit tests check the engine against, op by op: ``SessionLog`` for
 ``LogDatabase`` (``tests/test_sessionlog.py``), and ``SeenMemory`` for a
-node's slots of the flood table (``tests/test_node.py``)."""
+node's slots of the flood rows (``tests/test_node.py``)."""
 
 import re
 from collections import Counter, deque
@@ -125,6 +125,7 @@ def audit(lines, config, metrics) -> Counter:
     kept = [([], {}) for _ in adjacency]
     logging, overheard = config.mining_enabled, config.mining_enabled and config.log_overheard
     pending, counts = {}, Counter()   # SREQ id -> its request's time, until answered or expired
+    floods = Counter()   # origin -> the floods it has issued so far
 
     prev, now, expect = (None, None, None, None, {}), 0.0, None
     # What the last line lets its node send next (kind -> its to=), whether
@@ -178,8 +179,10 @@ def audit(lines, config, metrics) -> Counter:
         elif kind == "tx_bcast":
             msg_id, p = (f["origin"], f["seq"]), prev[4]
             if prev[1] == ISSUE:   # the flood of the request just issued
-                assert [p["session"], p["svc"], node, config.initial_ttl] == [
-                    f["session"], f["svc"], f["origin"], f["ttl"]], (at, "a flood's first SREQ")
+                assert [p["session"], p["svc"], node, config.initial_ttl, floods[node]] == [
+                    f["session"], f["svc"], f["origin"], f["ttl"], f["seq"]], (
+                    at, "a flood's first SREQ, numbered by its origin 0, 1, 2, ... in issue order")
+                floods[node] += 1
                 pending[msg_id] = now
                 seen[node].remember(msg_id, None)
             else:
