@@ -87,7 +87,6 @@ class SimConfig:
     hop_latency: float = 0.002
     inter_request_gap: float = 1.0
     inter_session_gap: float = 60.0
-    consumer_fraction: float = 1.0
     log_overheard: bool = False
     max_related: int = 1
     pending_timeout: float = 5.0
@@ -114,8 +113,6 @@ class SimConfig:
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
         if not 0.0 < self.support <= 1.0:
             raise ValueError(f"support must be in (0, 1], got {self.support}")
-        if not 0.0 <= self.consumer_fraction <= 1.0:
-            raise ValueError(f"consumer_fraction must be in [0, 1], got {self.consumer_fraction}")
         # Packets must stay encodable: a one-byte ttl, two-byte node and
         # service ids, and at most MAX_RELATED_RECORDS piggybacked records.
         if not 0 <= self.initial_ttl <= 255:
@@ -230,7 +227,6 @@ class Simulation:
     def __init__(self, config: SimConfig, *, trace=None):
         config.validate()
         self.cfg = config
-        self._hop_latency = config.hop_latency  # read on every transmission
         self.trace = trace
         placement_rng, services_rng, workload_rng = substreams(config.seed)
         self.topology = place_nodes(config, placement_rng)
@@ -300,7 +296,7 @@ class Simulation:
         self.metrics.sreq_transmissions += 1
         if self.trace is not None:
             self._trace(now, "tx_bcast", from_node, _packet_detail(sreq))
-        self._deliveries.append((now + self._hop_latency, next(self._seq),
+        self._deliveries.append((now + self.cfg.hop_latency, next(self._seq),
                                  self.topology.adjacency[from_node], from_node, sreq, row))
 
     def deliver_unicast(self, from_node: int, to: int, srep: SrepFields, row: Row,
@@ -314,7 +310,7 @@ class Simulation:
         self.metrics.srep_transmissions += 1
         if self.trace is not None:
             self._trace(now, "tx_ucast", from_node, f"to={to} " + _packet_detail(srep))
-        self._deliveries.append((now + self._hop_latency, next(self._seq),
+        self._deliveries.append((now + self.cfg.hop_latency, next(self._seq),
                                  to, from_node, srep, row))
 
     # -- main loop -----------------------------------------------------------
@@ -345,7 +341,7 @@ class Simulation:
         # deliver_broadcast makes, with that delivery's row.  The two
         # transmission counters are committed to the metrics when the loop
         # returns, also if it raises.
-        adjacency, hop, seq, queue = (self.topology.adjacency, self._hop_latency,
+        adjacency, hop, seq, queue = (self.topology.adjacency, self.cfg.hop_latency,
                                       self._seq, deliveries.append)
         handle_sreq, handle_srep = Node.handle_sreq, Node.handle_srep
         sreq_tx = srep_tx = 0
@@ -435,15 +431,18 @@ class Simulation:
             # Only a log whose closed sessions changed needs remine.  The
             # miner reads the log's kept masks; nothing keeps the callable,
             # so the run still makes no reference cycle.
-            if log.closed_version != node._mined_from[0]:
+            if log.closed_version != node._mined_version:
                 node.remine(lambda transactions: miner(transactions, log.masks))
             if tracing:
-                # pairs= counts the frequent singletons and pairs; each pair
-                # is ranked from both of its members.
+                # txns= counts the closed sessions, the ones the last re-mine
+                # read, as the version has not moved since.  pairs= counts the
+                # frequent singletons and pairs; each pair is ranked from both
+                # of its members.
                 masks, threshold = node._masks, node._threshold
                 pairs = sum(len(rank_related(s, masks, threshold)) for s in masks) // 2
                 self._trace(time, MINING_TICK, node.nid,
-                            f"txns={node._mined_from[1]} pairs={len(node.itemsets) + pairs}")
+                            f"txns={len(log.snapshot_transactions())} "
+                            f"pairs={len(node.itemsets) + pairs}")
         self._push(time + self.cfg.mining_interval, Simulation._mining_tick, ())
 
 

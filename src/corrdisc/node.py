@@ -131,9 +131,9 @@ class Node:
         # service -> rank_related(service, _masks, _threshold), filled on
         # first use and emptied at every re-mine.
         self._ranked: dict[int, list[int]] = {}
-        # (log.closed_version, transaction count) that `itemsets` and
-        # `_masks` were kept from; an empty log at version 0 mines to nothing.
-        self._mined_from = (0, 0)
+        # The log.closed_version that `itemsets` and `_masks` were kept
+        # from; an empty log at version 0 mines to nothing.
+        self._mined_version = 0
         # The seq of the next flood this node issues: the count of its floods.
         self._issued = 0
         # The seen memory (module docstring): the rows whose slot this node
@@ -300,7 +300,7 @@ class Node:
             self.itemsets = {}
             self._masks = {}
         self._ranked = {}
-        self._mined_from = (self.log.closed_version, len(transactions))
+        self._mined_version = self.log.closed_version
 
     def expire_pending(self, now: float) -> int:
         """Fail every pending request older than the timeout; returns count.

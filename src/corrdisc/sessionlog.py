@@ -45,9 +45,10 @@ class LogDatabase:
     closed record.
 
     ``masks`` maps each service to the bitset of the closed records that
-    hold it, and holds no other service.  A record's bit is its slot, its
-    append count modulo ``capacity``: at most ``capacity`` records are
-    live and their append counts are consecutive, so no two share a bit.
+    hold it, and holds no other service.  A record's bit is its slot: a
+    new record takes the bit of the record it evicts when the log is full,
+    and ``1 << len(log)`` while the log fills, so no two live records
+    share a bit.
     Closing a record sets its bit in the masks of its services; evicting a
     closed record clears it, deleting a mask that becomes 0.  Open records
     have no bit set.  Support counts are popcounts, so any one-to-one bit
@@ -64,7 +65,6 @@ class LogDatabase:
         self._open: dict[int, SessionRecord] = {}
         self.closed_version = 0
         self.masks: dict[int, int] = {}
-        self._appended = 0  # records ever appended; mod capacity, the next one's slot
 
     def __len__(self) -> int:
         return len(self._records)
@@ -93,11 +93,14 @@ class LogDatabase:
                 return
             # The consumer moved on to a new session; the old one is over.
             self._close(record)
-        if len(self._records) == self.capacity:
+        if len(self._records) < self.capacity:
+            bit = 1 << len(self._records)
+        else:
             oldest = self._records.popleft()
+            bit = oldest.bit  # the new record takes the evicted one's slot
             if oldest.closed:
                 self.closed_version += 1
-                masks, bit = self.masks, oldest.bit
+                masks = self.masks
                 for old_service in oldest.services:
                     mask = masks[old_service] ^ bit  # the bit is set: clear it
                     if mask:
@@ -106,9 +109,7 @@ class LogDatabase:
                         del masks[old_service]
             else:
                 del self._open[oldest.consumer]
-        record = SessionRecord(consumer, session_seq, now, {service},
-                               bit=1 << (self._appended % self.capacity))
-        self._appended += 1
+        record = SessionRecord(consumer, session_seq, now, {service}, bit=bit)
         self._records.append(record)
         self._open[consumer] = record
 

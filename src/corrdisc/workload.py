@@ -67,20 +67,18 @@ def generate_session(seed_service: int, candidates: Iterable[int], eta: float,
 
 
 def build_schedule(config: "SimConfig", cm: CorrelationMatrix, rng) -> list[SessionSpec]:
-    """Session plans for every consumer, fully determined by the rng state.
+    """Session plans for every node, fully determined by the rng state:
+    every node is a consumer.
 
-    Consumer k starts its sessions at k * (inter_session_gap / consumers)
-    so session closings trickle in instead of arriving in lockstep; within
-    a consumer, sessions are inter_session_gap apart.  Each seed service's
+    Node k starts its sessions at k * (inter_session_gap / node_count) so
+    session closings trickle in instead of arriving in lockstep; within a
+    consumer, sessions are inter_session_gap apart.  Each seed service's
     candidate column is read once per schedule.
     """
-    consumers = consumer_ids(config)
     specs: list[SessionSpec] = []
-    if not consumers:
-        return specs
-    stagger = config.inter_session_gap / len(consumers)
+    stagger = config.inter_session_gap / config.node_count
     columns: dict[int, list[int]] = {}
-    for k, consumer in enumerate(consumers):
+    for consumer in range(config.node_count):
         for j in range(config.sessions_per_consumer):
             # Scalar on purpose: integers(size=k) packs two 32-bit draws
             # into each 64-bit word, which would change the stream.
@@ -93,15 +91,10 @@ def build_schedule(config: "SimConfig", cm: CorrelationMatrix, rng) -> list[Sess
                 consumer=consumer,
                 session_seq=j,
                 services=frozenset(services),
-                start_time=k * stagger + j * config.inter_session_gap,
+                start_time=consumer * stagger + j * config.inter_session_gap,
                 inter_request_gap=config.inter_request_gap,
             ))
     return specs
-
-
-def consumer_ids(config: "SimConfig") -> list[int]:
-    count = int(config.consumer_fraction * config.node_count + 0.5)
-    return list(range(min(count, config.node_count)))
 
 
 def cm_to_text(cm: CorrelationMatrix) -> str:

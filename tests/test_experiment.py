@@ -39,8 +39,9 @@ def test_parse_eta():
 
 
 def test_parse_unknown_key_names_line():
-    # scan_interval is no key: SCAN runs every netsim.SCAN_INTERVAL.
-    for key in ("bogus", "scan_interval"):
+    # scan_interval is no key: SCAN runs every netsim.SCAN_INTERVAL; and
+    # consumer_fraction is none: every node is a consumer.
+    for key in ("bogus", "scan_interval", "consumer_fraction"):
         with pytest.raises(ConfigError, match=f"line 3: unknown key '{key}'"):
             parse_config(f"node_count = 4\nservice_count = 2\n{key} = 1\n")
 
@@ -70,13 +71,13 @@ def test_parse_comments_bools_field_size_and_out():
     # experiment
     node_count = 6      # inline comment
     service_count = 3
-    consumer_fraction = 0.5
+    eta = 0.5
     log_overheard = true
     field_size = 400x300
     variants = mining_on
     """
     spec = parse_config(text)
-    assert spec.base.consumer_fraction == 0.5
+    assert spec.base.eta == 0.5
     assert spec.base.log_overheard is True
     assert spec.base.field_size == (400.0, 300.0)
     assert spec.variants == ("mining_on",)

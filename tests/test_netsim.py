@@ -104,21 +104,12 @@ def collector_on():
         gc.disable()
 
 
-@pytest.mark.parametrize("traced", [False, True])
-def test_run_leaves_no_cyclic_garbage(traced, collector_on):
-    # The loop pauses the collector on the premise that a run makes no
-    # reference cycles; a run made with it off must leave none to collect.
-    gc.collect()
-    gc.disable()
-    for mining_enabled in (False, True):
-        cfg = replace(SMALL, seed=4, mining_enabled=mining_enabled)
-        metrics = run(cfg, trace=[] if traced else None)
-        assert metrics.requests_issued > 0
-    assert gc.collect() == 0
-
-
+@pytest.mark.parametrize("fail", ["none", "init", "loop"])
 @pytest.mark.parametrize("enabled", [True, False])
-def test_run_restores_the_collector_state(enabled, collector_on, monkeypatch):
+def test_run_restores_the_collector(enabled, fail, collector_on, monkeypatch):
+    # The handler sees the collector paused, the state afterwards is the
+    # state before, and an error in building the Simulation (an invalid
+    # config) or in its loop propagates.
     if not enabled:
         gc.disable()
     seen = []
@@ -126,22 +117,21 @@ def test_run_restores_the_collector_state(enabled, collector_on, monkeypatch):
 
     def spy(node, *args):
         seen.append(gc.isenabled())
+        if fail == "loop":
+            raise ValueError("handler failed")
         return handle_sreq(node, *args)
 
     monkeypatch.setattr(Node, "handle_sreq", spy)
-    run(replace(SMALL, seed=2))
-    assert seen and not any(seen)   # paused while the loop runs
+    cfg = replace(SMALL, seed=2, support=2.0 if fail == "init" else SMALL.support)
+    if fail == "none":
+        run(cfg)
+    else:
+        with pytest.raises(ValueError, match="support" if fail == "init" else "handler failed"):
+            run(cfg)
+    # The loop runs unless the config is refused first, and it runs paused.
+    assert bool(seen) is (fail != "init")
+    assert not any(seen)
     assert gc.isenabled() is enabled
-
-
-def test_run_restores_the_collector_when_it_raises(monkeypatch, collector_on):
-    def boom(node, *args):
-        raise ValueError("handler failed")
-
-    monkeypatch.setattr(Node, "handle_sreq", boom)
-    with pytest.raises(ValueError, match="handler failed"):
-        run(replace(SMALL, seed=2))
-    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("config", [MINE_HEAVY, FLOOD50], ids=["mine_heavy", "flood50"])
@@ -175,21 +165,14 @@ def test_run_keeps_the_collector_paused_until_the_simulation_is_freed(
     assert gc.isenabled()
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_run_restores_the_collector_when_the_config_is_invalid(enabled, collector_on):
-    if not enabled:
-        gc.disable()
-    with pytest.raises(ValueError, match="support"):
-        run(replace(SMALL, support=2.0))
-    assert gc.isenabled() is enabled
-
-
 @pytest.mark.parametrize("traced", [False, True])
-@pytest.mark.parametrize("config", [FLOOD50, MINE_HEAVY], ids=["flood50", "mine_heavy"])
-def test_benchmark_configs_make_no_reference_cycles(config, traced, collector_on):
-    # ``run`` keeps the collector paused while it builds and frees the
-    # Simulation too, so the benchmark's runs must leave nothing to collect.
-    # The traced runs write to a sink that keeps no line.
+@pytest.mark.parametrize("config", [replace(SMALL, seed=4), FLOOD50, MINE_HEAVY],
+                         ids=["small", "flood50", "mine_heavy"])
+def test_runs_make_no_reference_cycles(config, traced, collector_on):
+    # ``run`` pauses the collector while it builds, runs and frees the
+    # Simulation, on the premise that a run makes no reference cycles, so
+    # runs made with it off must leave nothing to collect.  The traced runs
+    # write to a sink that keeps no line.
     gc.collect()
     gc.disable()
     for mining_enabled in (False, True):
@@ -373,26 +356,30 @@ def test_sent_packets_are_plain_tuples_that_the_codec_round_trips(monkeypatch):
     # Sreq or Srep, and routes it by its field count; named, it must encode.
     # Every packet a handler returns is sent: an origin's is the first item
     # of issue_request's (sreq, row), and a relay's the second item of
-    # handle_srep's (upstream, srep).
+    # handle_srep's (upstream, srep).  The run sends all four kinds.
     sent = []
+    kinds = Counter()
     issue, handle_sreq, handle_srep = Node.issue_request, Node.handle_sreq, Node.handle_srep
 
     def record_issue(node, *args):
         issued = issue(node, *args)
         if issued is not None:
             sent.append(issued[0])
+            kinds["issue"] += 1
         return issued
 
     def record_sreq(node, *args):
         out = handle_sreq(node, *args)
         if out is not None:
             sent.append(out)
+            kinds["forward" if len(out) == SREQ_FIELDS else "answer"] += 1
         return out
 
     def record_srep(node, *args):
         emission = handle_srep(node, *args)
         if emission is not None:
             sent.append(emission[1])
+            kinds["relay"] += 1
         return emission
 
     monkeypatch.setattr(Node, "issue_request", record_issue)
@@ -400,6 +387,7 @@ def test_sent_packets_are_plain_tuples_that_the_codec_round_trips(monkeypatch):
     monkeypatch.setattr(Node, "handle_srep", record_srep)
     metrics = run(CLI_CONFIG)
     assert len(sent) == metrics.sreq_transmissions + metrics.srep_transmissions
+    assert kinds.keys() == {"issue", "forward", "answer", "relay"}
     for packet in sent:
         assert type(packet) is tuple
         named = Sreq._make(packet) if len(packet) == SREQ_FIELDS else Srep._make(packet)
@@ -556,13 +544,13 @@ def test_tick_remines_exactly_the_nodes_whose_log_changed(cfg, monkeypatch):
     ticks = []
 
     def checked(self, time):
-        before = [node._mined_from[0] for node in self.nodes]
+        before = [node._mined_version for node in self.nodes]
         calls.clear()
         original_tick(self, time)
         moved = [node.nid for node, version in zip(self.nodes, before)
                  if node.log.closed_version != version]
         assert calls == moved
-        assert all(node._mined_from[0] == node.log.closed_version for node in self.nodes)
+        assert all(node._mined_version == node.log.closed_version for node in self.nodes)
         ticks.append(len(calls))
 
     monkeypatch.setattr(Node, "remine", counting)

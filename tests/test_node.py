@@ -177,12 +177,9 @@ def test_handle_sreq_answers_with_related_from_table():
     node._learn(7, 6, False)
     mine_sessions(node, [{3, 7}] * 4)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    srep = as_packet(node.handle_sreq(sreq, new_row(), from_node=3, now=2.0))
+    srep = node.handle_sreq(sreq, new_row(), from_node=3, now=2.0)
     # The bare packet: the engine sends an answer back to from_node.
-    assert type(srep) is Srep
-    assert srep.destination == 1
-    assert srep.answer == (3, 5)
-    assert srep.related == ((7, 6),)
+    assert srep == Srep(2, 1, (1, 0), 8, (3, 5), ((7, 6),))
     assert node.metrics.piggybacked_records_sent == 1
 
 
@@ -218,11 +215,9 @@ def test_handle_sreq_ttl_exhausted():
 def test_handle_sreq_rebroadcast_decrements_ttl():
     node = make_node(nid=2)
     sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    fwd = as_packet(node.handle_sreq(sreq, new_row(), from_node=1, now=2.0))
+    fwd = node.handle_sreq(sreq, new_row(), from_node=1, now=2.0)
     # The bare packet: the engine broadcasts every SREQ a handler returns.
-    assert type(fwd) is Sreq
-    assert fwd.ttl == 7
-    assert fwd.msg_id == sreq.msg_id
+    assert fwd == Sreq(1, 0, 0, 3, 7)
 
 
 def test_handle_sreq_logs_overheard_request():
@@ -279,7 +274,7 @@ def test_handle_srep_transit_forwards_and_caches():
                 answer=(3, 5), related=((7, 6),))
     to, fwd = node.handle_srep(srep, row)
     assert to == 3
-    assert as_packet(fwd).ttl == 7
+    assert fwd == srep._replace(ttl=7)
     assert list(node._records) == [3, 7]
 
 
@@ -405,7 +400,7 @@ def test_remine_mines_on_every_call():
         assert node._ranked == {}
     assert calls == [[fs(1)] * 3] * 3
     assert node.itemsets == {fs(1): 3}
-    assert node._mined_from == (node.log.closed_version, 3)
+    assert node._mined_version == node.log.closed_version
 
 
 def fresh_ranking(node, service):
@@ -618,38 +613,3 @@ def test_learning_matches_inserting_new_records(ops, capacity, hosted):
     assert node.metrics.piggybacked_records_evicted_unused == evicted_unused
     assert node.metrics.locally_satisfied == hits
     assert node.metrics.prediction_hits == predicted
-
-
-def test_relayed_packets_are_real_packets():
-    # The loop routes each packet by its field count, 5 for an SREQ and 6
-    # for an SREP, and each handler builds a plain tuple in the field order
-    # of the packet's NamedTuple; a packet with a field too many or too few
-    # would be routed as the other kind.
-    node = make_node(nid=3)
-    issued, row = node.issue_request(3, 0, now=0.0)
-    assert row is node._seen_order[-1]
-    assert type(issued) is tuple
-    assert len(issued) == SREQ_FIELDS
-    assert issued == Sreq(origin=3, seq=0, session_seq=0, requested=3, ttl=8)
-
-    node = make_node(nid=2)
-    sreq = Sreq(origin=1, seq=0, session_seq=0, requested=3, ttl=8)
-    row = new_row()
-    forwarded = node.handle_sreq(sreq, row, from_node=1, now=1.0)
-    assert type(forwarded) is tuple
-    assert len(forwarded) == SREQ_FIELDS
-    assert forwarded == Sreq(1, 0, 0, 3, 7)
-
-    node._learn(4, 5, False)
-    answer = node.handle_sreq(Sreq(1, 1, 0, 4, 8), new_row(), from_node=1, now=2.0)
-    assert type(answer) is tuple
-    assert len(answer) == len(Srep._fields)
-    assert answer == Srep(responder=2, destination=1, in_reply_to=(1, 1), ttl=8,
-                          answer=(4, 5), related=())
-
-    srep = Srep(responder=4, destination=1, in_reply_to=(1, 0), ttl=8,
-                answer=(3, 5), related=((7, 6),))
-    _, relayed = node.handle_srep(srep, row)
-    assert type(relayed) is tuple
-    assert len(relayed) == len(Srep._fields)
-    assert relayed == srep._replace(ttl=7)

@@ -195,7 +195,10 @@ def test_masks_are_the_bitsets_of_the_closed_records(capacity, support, ops):
             for s in r.services:
                 masks[s] = masks.get(s, 0) | r.bit
         assert db.masks == masks
-        assert len({r.bit for r in closed if r.bit.bit_count() == 1}) == len(closed)
+        # Every live record, open or closed, holds a slot of its own.
+        live = db.records
+        assert all(r.bit.bit_count() == 1 and r.bit < 1 << capacity for r in live)
+        assert len({r.bit for r in live}) == len(live)
         snapshot = db.snapshot_transactions()
         assert mine_frequent_itemsets(snapshot, support, db.masks) == \
             brute_force_frequent_itemsets(snapshot, support)

@@ -19,8 +19,7 @@ from numpy.random import default_rng
 
 from corrdisc.netsim import SCAN_INTERVAL, SimConfig, Simulation, place_nodes
 from corrdisc.workload import (EMPTY_SESSION_RETRIES, build_correlation_matrix,
-                               build_schedule, candidate_set, consumer_ids,
-                               generate_session)
+                               build_schedule, candidate_set, generate_session)
 
 
 def scalar_correlation_matrix(n, rng):
@@ -55,18 +54,15 @@ def scalar_generate_session(seed_service, candidates, eta, rng):
 def scalar_schedule(config, cm, rng):
     """(consumer, session_seq, services, start_time, gap) per session,
     reading each session's candidate column afresh."""
-    consumers = consumer_ids(config)
     specs = []
-    if not consumers:
-        return specs
-    stagger = config.inter_session_gap / len(consumers)
-    for k, consumer in enumerate(consumers):
+    stagger = config.inter_session_gap / config.node_count
+    for consumer in range(config.node_count):
         for j in range(config.sessions_per_consumer):
             seed_service = int(rng.integers(config.service_count))
             services = scalar_generate_session(
                 seed_service, candidate_set(seed_service, cm), config.eta, rng)
             specs.append((consumer, j, frozenset(services),
-                          k * stagger + j * config.inter_session_gap,
+                          consumer * stagger + j * config.inter_session_gap,
                           config.inter_request_gap))
     return specs
 
@@ -167,8 +163,7 @@ def test_generate_session_matches_scalar_draws_through_retries_and_fallback(eta)
     dict(node_count=8, service_count=5, sessions_per_consumer=2),
     dict(node_count=50, service_count=10, sessions_per_consumer=4),
     dict(node_count=12, service_count=16, sessions_per_consumer=3, eta=0.05),
-    dict(node_count=20, service_count=24, sessions_per_consumer=1, eta=0.3,
-         consumer_fraction=0.5),
+    dict(node_count=20, service_count=24, sessions_per_consumer=1, eta=0.3),
 ])
 def test_schedule_matches_scalar_draws(overrides):
     cfg = SimConfig(**overrides)

@@ -4,7 +4,7 @@ from numpy.random import default_rng
 
 from corrdisc.netsim import SimConfig
 from corrdisc.workload import (build_correlation_matrix, build_schedule,
-                               candidate_set, consumer_ids, generate_session)
+                               candidate_set, generate_session)
 
 
 class StubRng:
@@ -107,12 +107,6 @@ def test_schedule_one_consumer_one_session():
     assert specs[0].services
 
 
-def test_schedule_no_consumers():
-    cfg = SimConfig(node_count=4, service_count=4, consumer_fraction=0.0)
-    cm = [[0] * 4 for _ in range(4)]
-    assert build_schedule(cfg, cm, default_rng(3)) == []
-
-
 def test_schedule_spacing_and_stagger():
     cfg = SimConfig(node_count=2, service_count=4, sessions_per_consumer=2,
                     inter_session_gap=60.0)
@@ -121,13 +115,7 @@ def test_schedule_spacing_and_stagger():
     starts = {(s.consumer, s.session_seq): s.start_time for s in specs}
     assert starts[(0, 0)] == 0.0
     assert starts[(0, 1)] == 60.0
-    assert starts[(1, 0)] == 30.0   # staggered by gap / consumers
+    assert starts[(1, 0)] == 30.0   # staggered by gap / node_count
     assert starts[(1, 1)] == 90.0
-
-
-def test_consumer_fraction_rounding():
-    assert consumer_ids(SimConfig(node_count=4, service_count=1,
-                                  consumer_fraction=0.5)) == [0, 1]
-    assert consumer_ids(SimConfig(node_count=4, service_count=1)) == [0, 1, 2, 3]
 
 
